@@ -33,27 +33,10 @@ from .embed import (
     twisted_iso,
 )
 from .errors import ExtensionFailed, GradalgError, HypothesisError, UsageError, ValidationError
-from .groups import Subgroup, cyclic, dihedral, product, quaternion8, same_group, symmetric
+from .groups import Subgroup, parse_spec, rehome
 from .identities import DegreeAssignment, identity_space, multilinear_containment
-from .matalg import GradedMatrixAlgebra, lambda_membership
+from .matalg import lambda_membership
 from .twisted import TwistedGroupAlgebra
-
-_ATOM = re.compile(r"^([CDS])(\d+)$")
-
-
-def _group_atom(token, order_cap):
-    if token == "Q8":
-        return quaternion8(order_cap=order_cap)
-    m = _ATOM.match(token)
-    if m is None:
-        raise UsageError(f"unrecognized group spec {token!r}")
-    fam, n = m.group(1), int(m.group(2))
-    if fam == "C":
-        return cyclic(n, order_cap=order_cap)
-    if fam == "D":
-        return dihedral(n, order_cap=order_cap)
-    return symmetric(n, order_cap=order_cap)
-
 
 def _read_file(path):
     try:
@@ -75,11 +58,7 @@ def parse_group_spec(spec, ws=None, order_cap=None):
         return ws.groups[name]
     if spec.startswith("table:@"):
         return jsonio.parse_group(jsonio.loads(_read_file(spec[len("table:@"):])))
-    parts = spec.split("x")
-    groups = [_group_atom(p, order_cap) for p in parts]
-    if len(groups) == 1:
-        return groups[0]
-    return product(*groups, order_cap=order_cap)
+    return parse_spec(spec, order_cap=order_cap)
 
 
 def _ws_lookup(ws, section, name, what):
@@ -115,25 +94,10 @@ def _ints(text, what):
     return out
 
 
-def _as_matrix(A, what):
-    if isinstance(A, GradedMatrixAlgebra):
-        return A
-    return as_matrix_algebra(A)
-
-
 def _require_twisted(A, what):
     if not isinstance(A, TwistedGroupAlgebra):
         raise ValidationError(f"{what} needs a twisted-kind algebra")
     return A
-
-
-def _align_cocycle(a, b):
-    # two files carry separate copies of the same group table; rebase b
-    if b.domain.parent is not a.domain.parent and same_group(a.domain.parent,
-                                                             b.domain.parent):
-        dom = Subgroup(a.domain.parent, b.domain.members, _validated=True)
-        return ExpCocycle(dom, b.modulus, b.mat)
-    return b
 
 
 def _emit(obj):
@@ -168,7 +132,8 @@ def _cmd_cocycle(args, cfg, ws):
         return 0 if ok else 3
     if args.action == "equiv":
         a = _load_cocycle(args.a, ws)
-        b = _align_cocycle(a, _load_cocycle(args.b, ws))
+        b = _load_cocycle(args.b, ws)
+        b = ExpCocycle(rehome(b.domain, a.domain.parent), b.modulus, b.mat)
         f = classes_equivalent(a, b, working_modulus=cfg.modulus_override)
         if f is None:
             _emit({"equivalent": False})
@@ -197,8 +162,6 @@ def _cmd_embed(args, cfg, ws):
     if args.action == "product":
         sources = [_load_algebra(v, ws) for v in args.sources.split(",")]
         targets = [_load_algebra(v, ws) for v in args.targets.split(",")]
-        sources = [_as_matrix(a, "embed product") for a in sources]
-        targets = [_as_matrix(a, "embed product") for a in targets]
         return _report_exit(product_embed(sources, targets))
     A = _load_algebra(args.a, ws)
     B = _load_algebra(args.b, ws)
@@ -206,7 +169,7 @@ def _cmd_embed(args, cfg, ws):
         rep = twisted_embed(_require_twisted(A, "embed tga"),
                             _require_twisted(B, "embed tga"))
     else:
-        rep = matrix_embed(_as_matrix(A, "embed matrix"), _as_matrix(B, "embed matrix"))
+        rep = matrix_embed(as_matrix_algebra(A), as_matrix_algebra(B))
     return _report_exit(rep)
 
 
@@ -217,12 +180,12 @@ def _cmd_iso(args, cfg, ws):
         rep = twisted_iso(_require_twisted(A, "iso tga"),
                           _require_twisted(B, "iso tga"))
     else:
-        rep = matrix_iso(_as_matrix(A, "iso matrix"), _as_matrix(B, "iso matrix"))
+        rep = matrix_iso(as_matrix_algebra(A), as_matrix_algebra(B))
     return _report_exit(rep)
 
 
 def _cmd_lambda(args, cfg, ws):
-    A = _as_matrix(_load_algebra(args.algebra, ws), "lambda")
+    A = as_matrix_algebra(_load_algebra(args.algebra, ws))
     target = tuple(_ints(args.target, "--target"))
     w = lambda_membership(target, A)
     if w is None:

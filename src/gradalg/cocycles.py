@@ -189,20 +189,6 @@ def conjugate_class(sig: ExpCocycle, xi) -> ExpCocycle:
     return ExpCocycle(K, sig.modulus, mat)
 
 
-def root_representative(sig: ExpCocycle, lam) -> ExpCocycle:
-    """The exponent table at modulus lam*M whose lam-multiple is sig lifted.
-
-    The table itself need not satisfy the cocycle identity at the larger
-    modulus; a lam-th root inside the class group need not exist at all.
-    """
-    if not is_cocycle(sig):
-        raise NotACocycle("root_representative requires a valid cocycle")
-    lam = int(lam)
-    if lam < 1:
-        raise DomainMismatch("root index must be positive")
-    return ExpCocycle(sig.domain, lam * sig.modulus, sig.mat)
-
-
 # ---------------------------------------------------------------------------
 # linear systems
 
@@ -344,9 +330,7 @@ def _extend_solver(G: FiniteGroup, H: Subgroup, m_w) -> ModularSolver:
         S = K[:, cols].T
         D = _coboundary_matrix(H)
         A = np.concatenate([S, (-D) % m_w], axis=1)
-        solver = ModularSolver(A, m_w)
-        solver._gen_count = K.shape[0]
-        G._cache[key] = solver
+        G._cache[key] = ModularSolver(A, m_w)
     return G._cache[key]
 
 
@@ -377,24 +361,10 @@ def extend_class(sig: ExpCocycle, G: FiniteGroup):
     sol = solver.solve(rhs)
     if sol is None:
         return None
+    # the first unknowns are the coefficients over the cocycle kernel rows
     K = cocycle_kernel(G, m_w)
-    x = sol[: solver._gen_count]
-    vec = (x @ K) % m_w
+    vec = (sol[: K.shape[0]] @ K) % m_w
     return ExpCocycle(full, m_w, _coords_to_mat(vec, G.order))
-
-
-def pair_leq(p1, p2):
-    """Order on (subgroup, cocycle) pairs: Some(f) iff H1 <= H2 and
-    sig1 is equivalent to the restriction of sig2 to H1."""
-    H1, s1 = p1
-    H2, s2 = p2
-    if H1 != s1.domain or H2 != s2.domain:
-        raise DomainMismatch("pair subgroup does not match its cocycle domain")
-    if H1.parent is not H2.parent:
-        return None
-    if not set(H1.members) <= set(H2.members):
-        return None
-    return classes_equivalent(s1, restrict(s2, H1))
 
 
 def h2_over_Fstar(G: FiniteGroup, order_cap=None) -> H2Description:

@@ -299,13 +299,11 @@ class CycloNumber:
         r0, r1 = phi, list(self.coeffs)
         s0, s1 = [_ZERO], [_ONE]
         r1 = list(_poly_trim(r1))
-        while len(r1) > 1 or (len(r1) == 1 and False):
+        while len(r1) > 1:
             q_poly, rem = _poly_divmod_frac(r0, r1)
             s_new = _poly_sub(s0, _poly_mul(q_poly, s1))
             r0, r1 = r1, list(_poly_trim(rem))
             s0, s1 = s1, s_new
-            if len(r1) <= 1:
-                break
         c = r1[0]
         inv_vec = [x / c for x in s1]
         inv_vec = (inv_vec + [_ZERO] * self.field.degree)[: self.field.degree]

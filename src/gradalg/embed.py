@@ -14,16 +14,16 @@ from . import fieldlin
 from .cocycles import ExpCocycle, classes_equivalent, conjugate_class, extend_class, restrict
 from .cyclo import cyclo_field
 from .errors import (
-    AmbientMismatch,
     ChainNotCentral,
     DomainMismatch,
     ExtensionFailed,
     HypothesisViolated,
     NotASubgroup,
     ValidationError,
+    VerificationFailed,
 )
 from .graded import GradedMap
-from .groups import Subgroup, is_central_in, normalizer, same_group, same_subgroup
+from .groups import Subgroup, is_central_in, normalizer, rehome, same_subgroup
 from .matalg import (
     GradedMatrixAlgebra,
     LambdaWitness,
@@ -103,29 +103,15 @@ class TowerReport:
 # -- ambient alignment -------------------------------------------------------
 
 
-def _rebase_twisted(B, ambient):
-    if B.ambient is ambient:
-        return B
-    H = Subgroup(ambient, B.subgroup.members, _validated=True)
-    sigma = ExpCocycle(H, B.sigma.modulus, B.sigma.mat)
-    return TwistedGroupAlgebra(H, sigma, B.field)
-
-def _rebase_matrix(A, ambient):
-    if A.ambient is ambient:
-        return A
-    return GradedMatrixAlgebra(_rebase_twisted(A.base, ambient), A.theta)
-
-
 def _align_ambient(A, B):
     """B rebased onto A's ambient group object; AmbientMismatch if the
     grading groups differ structurally."""
     if B.ambient is A.ambient:
         return B
-    if not same_group(A.ambient, B.ambient):
-        raise AmbientMismatch("algebras are graded by different groups")
-    if isinstance(B, GradedMatrixAlgebra):
-        return _rebase_matrix(B, A.ambient)
-    return _rebase_twisted(B, A.ambient)
+    base = B.base if isinstance(B, GradedMatrixAlgebra) else B
+    H = rehome(base.subgroup, A.ambient)
+    out = TwistedGroupAlgebra(H, ExpCocycle(H, base.sigma.modulus, base.sigma.mat), base.field)
+    return out if base is B else GradedMatrixAlgebra(out, B.theta)
 
 
 # -- verification ------------------------------------------------------------
@@ -187,6 +173,17 @@ def verify_graded_isomorphism(gmap, A, B):
     return A.dim == B.dim and verify_graded_monomorphism(gmap, A, B)
 
 
+def _verified(witness, check):
+    """The yes report for a constructed witness that passes check.
+
+    A failure is an engine fault, never a no: it raises VerificationFailed,
+    an explicit check that python -O keeps."""
+    if not check(witness.map, witness.source, witness.target):
+        raise VerificationFailed(
+            f"constructed {type(witness).__name__} failed verification")
+    return DecisionReport(True, witness=witness, verified=True)
+
+
 # -- twisted group algebra decisions ----------------------------------------
 
 
@@ -212,10 +209,7 @@ def twisted_embed(B1, B2, field=None):
     f = classes_equivalent(B1.sigma, restrict(B2.sigma, B1.subgroup))
     if f is None:
         return DecisionReport(False, reasons=("class mismatch",))
-    w = _tga_witness(B1, B2, f, field)
-    ok = verify_graded_monomorphism(w.map, w.source, w.target)
-    assert ok, "constructed twisted witness failed verification"
-    return DecisionReport(True, witness=w, verified=True)
+    return _verified(_tga_witness(B1, B2, f, field), verify_graded_monomorphism)
 
 
 def twisted_iso(B1, B2, field=None):
@@ -227,10 +221,7 @@ def twisted_iso(B1, B2, field=None):
     f = classes_equivalent(B1.sigma, B2.sigma)
     if f is None:
         return DecisionReport(False, reasons=("class mismatch",))
-    w = _tga_witness(B1, B2, f, field)
-    ok = verify_graded_isomorphism(w.map, w.source, w.target)
-    assert ok, "constructed twisted witness failed verification"
-    return DecisionReport(True, witness=w, verified=True)
+    return _verified(_tga_witness(B1, B2, f, field), verify_graded_isomorphism)
 
 
 # -- graded matrix algebra decisions ----------------------------------------
@@ -271,10 +262,8 @@ def _matrix_witness(A1, A2, delta, matching, shifts, f, field, want_iso):
         source=A1F,
         target=A2F,
         map=corner.then(psi.invert()))
-    check = verify_graded_isomorphism if want_iso else verify_graded_monomorphism
-    ok = check(witness.map, A1F, A2F)
-    assert ok, "constructed matrix witness failed verification"
-    return DecisionReport(True, witness=witness, verified=True)
+    return _verified(witness, verify_graded_isomorphism if want_iso
+                     else verify_graded_monomorphism)
 
 
 def _matrix_decide(A1, A2, field, want_iso):
@@ -356,7 +345,6 @@ def product_embed(sources, targets):
     As = [as_matrix_algebra(a) for a in targets]
     if not Bs or not As:
         raise ValidationError("product decision needs at least one component per side")
-    G = Bs[0].ambient
     Bs = [_align_ambient(Bs[0], b) for b in Bs]
     As = [_align_ambient(Bs[0], a) for a in As]
     notes = []
@@ -425,7 +413,8 @@ def _corner_square(B1, B2, k, t):
     left = matrix_embed(TL, BL, field=F)
     right = matrix_embed(TR, BR, field=F)
     bottom = matrix_embed(BL, BR, field=F)
-    assert all(r.verdict for r in (top, left, right, bottom))
+    if not all(r.verdict for r in (top, left, right, bottom)):
+        raise VerificationFailed("a corner embedding of the square was refused")
     path_over = top.witness.map.then(right.witness.map)
     path_under = left.witness.map.then(bottom.witness.map)
     commutes = all(
@@ -449,12 +438,7 @@ def build_tower(B, chain, k=1, t=1):
         raise ValidationError("matrix sizes must satisfy 1 <= k <= t")
     if not same_subgroup(chain[0], B.subgroup):
         raise DomainMismatch("chain must start at the algebra's support subgroup")
-    for H in chain:
-        if H.parent is not B.ambient:
-            if not same_group(H.parent, B.ambient):
-                raise AmbientMismatch("chain subgroups live in a different group")
-    chain = [H if H.parent is B.ambient else Subgroup(B.ambient, H.members, _validated=True)
-             for H in chain]
+    chain = [rehome(H, B.ambient) for H in chain]
     for idx in range(len(chain) - 1):
         low, high = chain[idx], chain[idx + 1]
         if not set(low.members) <= set(high.members):
@@ -470,7 +454,8 @@ def build_tower(B, chain, k=1, t=1):
         ext = _extend_within(cocycles[-1], chain[idx + 1])
         nxt = TwistedGroupAlgebra(chain[idx + 1], ext)
         step = twisted_embed(algebras[-1], nxt)
-        assert step.verdict, "central extension step must embed"
+        if not step.verdict:
+            raise VerificationFailed(f"chain step {idx + 1}: the extension does not embed")
         steps.append(step)
         squares.append(_corner_square(algebras[-1], nxt, k, t))
         cocycles.append(ext)

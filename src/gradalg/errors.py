@@ -96,6 +96,10 @@ class ChainNotCentral(HypothesisError):
     """Tower chain step is not a central extension."""
 
 
+class VerificationFailed(GradalgError):
+    """A constructed witness or verdict failed the engine's own check (a bug, exit 1)."""
+
+
 class ExtensionFailed(GradalgError):
     """A tower step's cocycle does not extend to the next subgroup of the chain."""
 

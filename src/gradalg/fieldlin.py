@@ -75,21 +75,3 @@ def kernel_basis(rows, width, field):
             v[pc] = -reduced[r][free]
         basis.append(v)
     return basis
-
-
-def solve_linear(rows, rhs, field):
-    """One solution of A x = rhs, or None if inconsistent.
-
-    Free variables are set to zero, so the answer is deterministic.
-    """
-    if not rows:
-        return [] if all(b.is_zero() for b in rhs) else None
-    n = len(rows[0])
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
-    reduced, pivots = rref(aug, field)
-    if n in pivots:
-        return None
-    x = [field.zero()] * n
-    for r, pc in enumerate(pivots):
-        x[pc] = reduced[r][n]
-    return x

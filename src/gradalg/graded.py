@@ -179,9 +179,6 @@ class GradedMap:
             self.source, nxt.target,
             {key: nxt.apply(img) for key, img in self.images.items()})
 
-    def is_monomial(self):
-        return all(len(img.terms) == 1 for img in self.images.values())
-
     def monomial_assign(self):
         out = {}
         for key, img in self.images.items():

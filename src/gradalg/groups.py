@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from math import gcd
 
 from .config import DEFAULT_ORDER_CAP
-from .errors import NotASubgroup, OrderCapExceeded, SpecMalformed, TableInvalid
+from .errors import AmbientMismatch, NotASubgroup, OrderCapExceeded, SpecMalformed, TableInvalid
 
 
 class FiniteGroup:
@@ -232,15 +231,6 @@ class Subgroup:
         return f"Subgroup({self.parent.name}, {list(self.members)})"
 
 
-@dataclass(frozen=True)
-class RelationReport:
-    subgroup: Subgroup
-    is_normal: bool
-    is_central: bool
-    index: int
-    transversal: tuple
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -381,7 +371,11 @@ _SPEC_ATOM = re.compile(r"^([CDS])(\d+)$|^(Q8)$")
 
 
 def parse_spec(text, order_cap=DEFAULT_ORDER_CAP):
-    """Build a group from a spec string: C<n>, D<n>, Q8, S<n>, joined by 'x' for products."""
+    """Build a group from a spec string: C<n>, D<n>, Q8, S<n>, joined by 'x' for products.
+
+    Each factor and the product are checked against order_cap before their
+    tables are built, so an over-cap spec fails at once.
+    """
     text = text.strip()
     if not text:
         raise SpecMalformed("empty group spec")
@@ -391,19 +385,12 @@ def parse_spec(text, order_cap=DEFAULT_ORDER_CAP):
         if not m:
             raise SpecMalformed(f"unknown group spec atom {atom!r}")
         if m.group(3):
-            factors.append(quaternion8(order_cap=None))
+            factors.append(quaternion8(order_cap=order_cap))
             continue
         fam, n = m.group(1), int(m.group(2))
-        if fam == "C":
-            factors.append(cyclic(n, order_cap=None))
-        elif fam == "D":
-            factors.append(dihedral(n, order_cap=None))
-        else:
-            factors.append(symmetric(n, order_cap=None))
-    out = product(*factors, order_cap=order_cap) if len(factors) > 1 else factors[0]
-    if order_cap is not None and out.order > order_cap:
-        raise OrderCapExceeded(f"group order {out.order} exceeds cap {order_cap}")
-    return out
+        make = {"C": cyclic, "D": dihedral, "S": symmetric}[fam]
+        factors.append(make(n, order_cap=order_cap))
+    return product(*factors, order_cap=order_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -457,35 +444,6 @@ def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
     return Subgroup(G, norm, _validated=True)
 
 
-def left_transversal(G: FiniteGroup, H: Subgroup):
-    """Left-coset representatives (cosets xH), smallest identifier per coset, in id order."""
-    seen = [False] * G.order
-    reps = []
-    for x in range(G.order):
-        if seen[x]:
-            continue
-        reps.append(x)
-        for h in H.members:
-            seen[G.mul(x, h)] = True
-    return tuple(reps)
-
-
-def subgroup_relations(G: FiniteGroup, H: Subgroup) -> RelationReport:
-    if H.parent is not G:
-        raise NotASubgroup("subgroup belongs to a different group")
-    return RelationReport(
-        subgroup=H,
-        is_normal=H.is_normal(),
-        is_central=H.is_central(),
-        index=G.order // H.order,
-        transversal=left_transversal(G, H),
-    )
-
-
-def all_subgroups_normal(G: FiniteGroup) -> bool:
-    return all(H.is_normal() for H in enumerate_subgroups(G))
-
-
 def conjugate_subgroup(H: Subgroup, d) -> Subgroup:
     """The subgroup d H d^-1 of the same parent."""
     G = H.parent
@@ -509,3 +467,17 @@ def same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
 
 def same_subgroup(h1: Subgroup, h2: Subgroup) -> bool:
     return same_group(h1.parent, h2.parent) and h1.members == h2.members
+
+
+def rehome(H: Subgroup, G: FiniteGroup) -> Subgroup:
+    """H as a subgroup of G, a group object with the same table as H's parent.
+
+    Objects loaded from separate files carry separate copies of one table;
+    rehoming puts them on one group object so they can be compared.
+    AmbientMismatch if the tables differ.
+    """
+    if H.parent is G:
+        return H
+    if not same_group(H.parent, G):
+        raise AmbientMismatch("subgroup lives in a group with a different table")
+    return Subgroup(G, H.members, _validated=True)

@@ -181,33 +181,6 @@ def identity_space(algebra, assignment, config=None):
     return IdentitySpace(algebra=algebra, assignment=assignment, basis=basis)
 
 
-def product_identity_space(algebras, assignment, config=None):
-    """Identities of a finite product, at one assignment: the intersection
-    of the component identity spaces, computed over a common field."""
-    algebras = list(algebras)
-    if not algebras:
-        raise ValidationError("product of algebras needs at least one factor")
-    for other in algebras[1:]:
-        if not same_group(algebras[0].ambient, other.ambient):
-            raise AmbientMismatch("product factors are graded by different groups")
-    config = config or EngineConfig()
-    _check_cap(assignment.n, config)
-    field = cyclo_field(lcm(*[a.field.modulus for a in algebras]))
-    enlarged = [a.with_field(field) for a in algebras]
-    perms = _perms(assignment.n)
-    rows = []
-    for a in enlarged:
-        rows.extend(_evaluation_rows(a, perms, assignment.degs))
-    kernel = fieldlin.kernel_basis(rows, len(perms), field)
-    basis = tuple(
-        GradedMultilinearPoly(
-            assignment,
-            {perms[i]: v[i] for i in range(len(perms)) if not v[i].is_zero()},
-            field)
-        for v in kernel)
-    return IdentitySpace(algebra=tuple(enlarged), assignment=assignment, basis=basis)
-
-
 @dataclass(frozen=True)
 class AssignmentVerdict:
     degs: tuple

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .config import EngineConfig
 from .cyclo import cyclo_field
 from .errors import ParseError, ValidationError
-from .groups import FiniteGroup, Subgroup, from_table
+from .groups import Subgroup, from_table
 from .cocycles import ExpCocycle, ExpFunction, is_cocycle
 from .twisted import TwistedGroupAlgebra
 from .matalg import GradedMatrixAlgebra, LambdaWitness, MatBasisElt

@@ -20,6 +20,7 @@ from .errors import (
     InvalidWitness,
     LengthMismatch,
     ValidationError,
+    VerificationFailed,
 )
 from .graded import GradedElement, GradedMap
 from .groups import normalizer
@@ -293,7 +294,8 @@ def lambda_membership(target, algebra):
             delta=delta,
             alpha=tuple(i + 1 for i in matching),
             xis=tuple(shifts[j][matching[j]] for j in range(k)))
-        assert witness.target_tuple(algebra) == target
+        if witness.target_tuple(algebra) != target:
+            raise VerificationFailed("constructed regrading witness misses the target tuple")
         return witness
     return None
 

@@ -60,15 +60,6 @@ class RowReducer:
         self.width = int(width)
         self.piv = {}
 
-    def clone(self):
-        other = RowReducer(self.N, self.width)
-        other.piv = {c: row.copy() for c, row in self.piv.items()}
-        return other
-
-    @property
-    def pivot_cols(self):
-        return sorted(self.piv)
-
     def basis(self):
         if not self.piv:
             return np.zeros((0, self.width), dtype=np.int64)
@@ -317,7 +308,6 @@ class ModularSolver:
         self.W = (snf.U @ C) % N
         self.diag = snf.diag
         self.nrows = R.shape[0]
-        self._kernel = None
 
     def solve(self, b):
         """A particular solution x with A x ≡ b, or None if none exists."""
@@ -336,26 +326,3 @@ class ModularSolver:
             if d != N:
                 y[i] = ci // d
         return (self.V @ y) % N
-
-    def kernel(self):
-        """Generator rows of {x : A x ≡ 0}."""
-        if self._kernel is None:
-            gens = []
-            for i in range(self.ncols):
-                x = (self.V[:, i] * (self.N // self.diag[i])) % self.N
-                if x.any():
-                    gens.append(x)
-            if gens:
-                self._kernel = np.stack(gens)
-            else:
-                self._kernel = np.zeros((0, self.ncols), dtype=np.int64)
-        return self._kernel
-
-
-def solve_mod(A, b, n_mod):
-    """One-shot solve; returns (particular, kernel_rows) or None."""
-    solver = ModularSolver(A, n_mod)
-    x = solver.solve(b)
-    if x is None:
-        return None
-    return x, solver.kernel()

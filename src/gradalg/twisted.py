@@ -9,7 +9,6 @@ inside an explicit cyclotomic field.
 
 from __future__ import annotations
 
-from . import fieldlin
 from .cocycles import is_cocycle, trivial_cocycle
 from .cyclo import cyclo_field
 from .errors import (
@@ -135,45 +134,3 @@ class TwistedGroupAlgebra:
         twist = "" if not any(any(row) for row in self.sigma.mat) else "^sigma"
         return (f"F{twist}[{self.ambient.name}:{self.subgroup.members}]"
                 f"@Q(zeta_{self.field.modulus})")
-
-
-def is_division_graded(algebra):
-    """Whether every nonzero homogeneous element is invertible.
-
-    Works for any finite-dimensional graded algebra exposing the basis
-    interface.  Checks that the support is a subgroup and that every basis
-    element has a two-sided inverse; a single failure settles the answer.
-    """
-    G = algebra.ambient
-    support = algebra.support()
-    if 0 not in support:
-        return False
-    for a in support:
-        if G.inv(a) not in support:
-            return False
-        for b in support:
-            if G.mul(a, b) not in support:
-                return False
-
-    field = algebra.field
-    keys = list(algebra.basis_keys())
-    index = {key: i for i, key in enumerate(keys)}
-    n = len(keys)
-    one_vec = [field.zero()] * n
-    for key, c in algebra.one().terms.items():
-        one_vec[index[key]] = c
-    for key in keys:
-        # rows of (key . x) in basis coordinates, columns over x
-        rows = [[field.zero()] * n for _ in range(n)]
-        for col, other in enumerate(keys):
-            hit = algebra.multiply_basis(key, other)
-            if hit is not None:
-                coef, out = hit
-                rows[index[out]][col] = coef
-        x = fieldlin.solve_linear(rows, one_vec, field)
-        if x is None:
-            return False
-        inv = GradedElement(algebra, {keys[i]: x[i] for i in range(n)})
-        if inv * algebra.basis_element(key) != algebra.one():
-            return False
-    return True

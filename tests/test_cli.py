@@ -5,14 +5,20 @@ unmet hypothesis, 1 internal error.
 """
 
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from gradalg import jsonio
+import gradalg
+from gradalg import embed, jsonio
 from gradalg.catalog import catalog_group, klein_sign_cocycle
 from gradalg.cli import main, parse_group_spec
 from gradalg.cocycles import ExpCocycle, ExpFunction, coboundary_from, trivial_cocycle
-from gradalg.errors import UsageError
+from gradalg.errors import SpecMalformed
 from gradalg.groups import Subgroup, cyclic, product
 from gradalg.matalg import GradedMatrixAlgebra
 from gradalg.twisted import TwistedGroupAlgebra
@@ -151,6 +157,18 @@ def test_order_cap_flag_exits_2(capsys):
     assert "error:" in err
 
 
+def test_over_cap_spec_exits_2_before_building(capsys):
+    for spec in ("C2000", "C2xC2000"):
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "group", "--group", spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert peak < 1 << 20, spec
+
+
 def test_argparse_rejections(capsys):
     assert run(capsys, "--no-such-flag")[0] == 2
     assert run(capsys, "--help")[0] == 0
@@ -158,7 +176,7 @@ def test_argparse_rejections(capsys):
 
 def test_parse_group_spec_direct():
     assert parse_group_spec("D4").order == 8
-    with pytest.raises(UsageError):
+    with pytest.raises(SpecMalformed):
         parse_group_spec("Q16")
 
 
@@ -229,6 +247,34 @@ def test_embed_tga_yes(capsys, files):
     assert code == 0
     assert obj["verdict"] == "yes"
     assert obj["verified"] is True
+
+
+# Replaces the witness check by one that refuses everything, then runs the
+# CLI: the argv after -c is the gradalg command line.
+_REFUSING_VERIFIER = """
+import sys
+import gradalg.embed
+gradalg.embed.verify_graded_monomorphism = lambda *args: False
+from gradalg.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_unverified_witness_exits_1(capsys, files, monkeypatch):
+    argv = ("embed", "tga", "--a", files["line"], "--b", files["signed"])
+    with monkeypatch.context() as m:
+        m.setattr(embed, "verify_graded_monomorphism", lambda *args: False)
+        code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "internal error" in err
+    # the check must survive python -O, which strips asserts
+    src = str(Path(gradalg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", _REFUSING_VERIFIER, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "verified" not in proc.stdout
 
 
 def test_embed_tga_no_both_directions(capsys, files):

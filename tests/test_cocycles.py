@@ -19,9 +19,7 @@ from gradalg.cocycles import (
     h2_over_Fstar,
     is_cocycle,
     normalize,
-    pair_leq,
     restrict,
-    root_representative,
     subgroup_class_representatives,
     trivial_cocycle,
 )
@@ -85,14 +83,6 @@ def test_lift_and_scale(sign_cocycle):
     with pytest.raises(DomainMismatch):
         sign_cocycle.lift(3)
     assert class_order(sign_cocycle.scaled(2)) == 1
-
-
-def test_root_representative(sign_cocycle):
-    tau = root_representative(sign_cocycle, 3)
-    assert tau.modulus == 6
-    assert tau.scaled(3) == sign_cocycle.lift(6)
-    with pytest.raises(DomainMismatch):
-        root_representative(sign_cocycle, 0)
 
 
 # -- coboundaries and equivalence ---------------------------------------------
@@ -241,18 +231,6 @@ def test_extend_validates(s3, sign_cocycle):
     H = Subgroup(s3, (0, s3.element_by_label("(12)")))
     with pytest.raises(NotACocycle):
         extend_class(ExpCocycle(H, 2, np.eye(2, dtype=np.int64)), s3)
-
-
-def test_pair_order(klein, sign_cocycle):
-    H = Subgroup(klein, (0, 1))
-    low = (H, trivial_cocycle(H, 2))
-    high = (klein.full_subgroup(), sign_cocycle)
-    assert pair_leq(low, high) is not None
-    assert pair_leq(high, low) is None
-    full = klein.full_subgroup()
-    assert pair_leq((full, sign_cocycle), (full, trivial_cocycle(full, 2))) is None
-    with pytest.raises(DomainMismatch):
-        pair_leq((klein.full_subgroup(), trivial_cocycle(H, 2)), high)
 
 
 # -- second cohomology ---------------------------------------------------------

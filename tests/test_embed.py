@@ -1,6 +1,7 @@
 """Embedding and isomorphism decisions, product assignments, and towers."""
 import pytest
 
+from gradalg import embed
 from gradalg.catalog import klein_sign_cocycle
 from gradalg.cocycles import all_classes, trivial_cocycle
 from gradalg.embed import (
@@ -19,9 +20,11 @@ from gradalg.errors import (
     ChainNotCentral,
     DomainMismatch,
     ExtensionFailed,
+    HypothesisError,
     HypothesisViolated,
     NotASubgroup,
     ValidationError,
+    VerificationFailed,
 )
 from gradalg.graded import GradedMap
 from gradalg.groups import Subgroup, cyclic, enumerate_subgroups, product
@@ -317,3 +320,19 @@ def test_tower_chain_validation(s3, klein, sign_cocycle):
         build_tower(
             TwistedGroupAlgebra(Subgroup(klein, (0, 1))),
             [Subgroup(klein, (0, 1)), Subgroup(klein, (0, 2))])
+
+
+def test_unverified_witness_is_an_internal_error(klein, sign_cocycle, monkeypatch):
+    # a witness that fails verification is an engine fault (exit 1): neither
+    # a yes nor a bad-input error
+    assert not issubclass(VerificationFailed, (ValidationError, HypothesisError))
+    monkeypatch.setattr(embed, "verify_graded_monomorphism", lambda *args: False)
+    line = Subgroup(klein, (0, 1))
+    small = TwistedGroupAlgebra(line, trivial_cocycle(line, 2))
+    big = TwistedGroupAlgebra(klein.full_subgroup(), sign_cocycle)
+    with pytest.raises(VerificationFailed):
+        twisted_embed(small, big)
+    with pytest.raises(VerificationFailed):
+        twisted_iso(big, big)
+    with pytest.raises(VerificationFailed):
+        matrix_embed(as_matrix_algebra(small), as_matrix_algebra(big))

@@ -1,28 +1,26 @@
 """
 Unit tests for the finite group layer: constructors, table validation,
-and the subgroup machinery (closure, normalizers, transversals, conjugates).
+and the subgroup machinery (closure, normalizers, conjugates).
 """
+import tracemalloc
 import unittest
 
 from gradalg.errors import NotASubgroup, OrderCapExceeded, SpecMalformed, TableInvalid
 from gradalg.groups import (
     FiniteGroup,
     Subgroup,
-    all_subgroups_normal,
     closure,
     conjugate_subgroup,
     cyclic,
     dihedral,
     enumerate_subgroups,
     is_central_in,
-    left_transversal,
     normalizer,
     parse_spec,
     product,
     quaternion8,
     same_group,
     same_subgroup,
-    subgroup_relations,
     symmetric,
 )
 
@@ -66,13 +64,13 @@ class TestConstructors(unittest.TestCase):
         involutions = [x for x in G.elements() if G.element_order(x) == 2]
         self.assertEqual(len(involutions), 1)
         self.assertEqual(G.center, (0, involutions[0]))
-        self.assertTrue(all_subgroups_normal(G))
+        self.assertTrue(all(H.is_normal() for H in enumerate_subgroups(G)))
 
     def test_symmetric(self):
         G = symmetric(3)
         self.assertEqual(G.order, 6)
         self.assertFalse(G.is_abelian)
-        self.assertFalse(all_subgroups_normal(G))
+        self.assertFalse(all(H.is_normal() for H in enumerate_subgroups(G)))
         self.assertEqual(symmetric(4).order, 24)
         # composition convention: (12) then (23) maps 1 -> 2 -> 3
         t12 = G.element_by_label("(12)")
@@ -113,6 +111,18 @@ class TestConstructors(unittest.TestCase):
         self.assertEqual(cyclic(65, order_cap=None).order, 65)
         with self.assertRaises(OrderCapExceeded):
             parse_spec("C4xC4", order_cap=8)
+
+    def test_parse_spec_checks_cap_before_building(self):
+        # an over-cap factor must fail before its 10^6-entry table exists
+        for spec in ("C1000", "C2xC1000"):
+            tracemalloc.start()
+            try:
+                with self.assertRaises(OrderCapExceeded):
+                    parse_spec(spec, order_cap=64)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            self.assertLess(peak, 1 << 20, spec)
 
 
 class TestTableValidation(unittest.TestCase):
@@ -180,15 +190,6 @@ class TestSubgroups(unittest.TestCase):
         V4 = product(cyclic(2), cyclic(2))
         self.assertEqual(len(enumerate_subgroups(V4)), 5)
 
-    def test_transposition_subgroup_relations(self):
-        H = self.gen(self.t12)
-        rep = subgroup_relations(self.S3, H)
-        self.assertFalse(rep.is_normal)
-        self.assertFalse(rep.is_central)
-        self.assertEqual(rep.index, 3)
-        self.assertEqual(len(rep.transversal), 3)
-        self.assertEqual(rep.transversal[0], 0)
-
     def test_conjugates_of_transposition_subgroup(self):
         H = self.gen(self.t12)
         seen = {conjugate_subgroup(H, d).members for d in self.S3.elements()}
@@ -202,14 +203,6 @@ class TestSubgroups(unittest.TestCase):
     def test_normalizer_of_rotation_subgroup(self):
         A3 = self.gen(self.S3.element_by_label("(123)"))
         self.assertEqual(normalizer(self.S3, A3).order, 6)
-
-    def test_left_transversal_covers(self):
-        H = self.gen(self.t12)
-        reps = left_transversal(self.S3, H)
-        cosets = set()
-        for r in reps:
-            cosets |= {self.S3.mul(r, h) for h in H.members}
-        self.assertEqual(cosets, set(self.S3.elements()))
 
     def test_centrality(self):
         Q8 = quaternion8()

@@ -22,7 +22,6 @@ from gradalg.identities import (
     evaluate,
     identity_space,
     multilinear_containment,
-    product_identity_space,
 )
 from gradalg.matalg import GradedMatrixAlgebra
 from gradalg.twisted import TwistedGroupAlgebra
@@ -122,13 +121,6 @@ def test_identity_space_degree_cap(plain):
     cfg = EngineConfig(degree_cap=2)
     with pytest.raises(DegreeCapExceeded):
         identity_space(plain, DegreeAssignment((0, 0, 0)), cfg)
-
-
-def test_product_identity_space(plain):
-    a = DegreeAssignment((1, 2))
-    single = identity_space(plain, a)
-    double = product_identity_space([plain, plain], a)
-    assert [p.coeffs for p in double.basis] == [p.coeffs for p in single.basis]
 
 
 def test_containment_same_algebra(plain):

@@ -1,4 +1,4 @@
-"""Twisted group algebra arithmetic and the division-graded test."""
+"""Twisted group algebra arithmetic."""
 import pytest
 
 from gradalg.cyclo import cyclo_field
@@ -9,9 +9,8 @@ from gradalg.errors import (
     NotHomogeneous,
     ZeroElement,
 )
-from gradalg.groups import Subgroup, cyclic
-from gradalg.matalg import GradedMatrixAlgebra
-from gradalg.twisted import TwistedGroupAlgebra, is_division_graded
+from gradalg.groups import Subgroup
+from gradalg.twisted import TwistedGroupAlgebra
 
 import numpy as np
 
@@ -109,25 +108,6 @@ def test_homogeneous_inverse_with_shifted_unit(klein):
         e = B.eta(x)
         assert one * e == e
         assert B.homogeneous_inverse(e) * e == one
-
-
-def test_division_graded(klein, sign_cocycle, c4):
-    full = klein.full_subgroup()
-    assert is_division_graded(TwistedGroupAlgebra(full, sign_cocycle))
-    assert is_division_graded(TwistedGroupAlgebra(full))
-    assert is_division_graded(TwistedGroupAlgebra(c4.full_subgroup()))
-    # matrix algebras of size >= 2 have nilpotent homogeneous elements
-    B = TwistedGroupAlgebra(full, sign_cocycle)
-    assert not is_division_graded(GradedMatrixAlgebra(B, (0, 1)))
-
-
-def test_division_graded_rejects_non_subgroup_support():
-    # fabricate a support that is not closed by grading a 1x1 corner oddly
-    C4 = cyclic(4)
-    B = TwistedGroupAlgebra(C4.full_subgroup())
-    A = GradedMatrixAlgebra(B, (0, 1))
-    assert sorted(A.support()) == [0, 1, 2, 3]
-    assert not is_division_graded(A)
 
 
 def test_with_field(klein, sign_cocycle):
