@@ -25,6 +25,7 @@ from .errors import (
     NotACocycle,
     NotASubgroup,
     OrderCapExceeded,
+    VerificationFailed,
 )
 from .groups import FiniteGroup, Subgroup, conjugate_subgroup
 from .modlin import ModularSolver, RowReducer, howell_reduce, kernel_mod, snf_mod
@@ -230,6 +231,18 @@ def cocycle_kernel(G: FiniteGroup, modulus):
     key = ("cockernel", modulus)
     if key in G._cache:
         return G._cache[key]
+    m = (G.order - 1) ** 2
+    # a separate call, so the identities' reducer is freed before the kernel step
+    basis = _cocycle_identities(G, modulus)
+    kern = kernel_mod(basis, modulus) if basis.shape[0] else np.eye(m, dtype=np.int64)
+    kern = howell_reduce(kern, modulus).basis() if kern.shape[0] else kern
+    G._cache[key] = kern
+    return kern
+
+
+def _cocycle_identities(G: FiniteGroup, modulus):
+    """Howell basis of the cocycle identities of G over Z/modulus, one per
+    triple (x, y, z) of non-identity elements, in normalized coordinates."""
     n = G.order
     m = (n - 1) ** 2
     mul = np.asarray(G.mul_table, dtype=np.int64)
@@ -253,11 +266,7 @@ def cocycle_kernel(G: FiniteGroup, modulus):
         np.add.at(rows, (ridx, coord(Y, Z)), -1)
         np.add.at(rows, (ridx[mask_yz], coord(np.full(mask_yz.sum(), x), yz[mask_yz])), -1)
         red.add_matrix(rows % modulus)
-    basis = red.basis()
-    kern = kernel_mod(basis, modulus) if basis.shape[0] else np.eye(m, dtype=np.int64)
-    kern = howell_reduce(kern, modulus).basis() if kern.shape[0] else kern
-    G._cache[key] = kern
-    return kern
+    return red.basis()
 
 
 def _mat_to_coords(mat):
@@ -315,9 +324,10 @@ def class_order(sig: ExpCocycle):
     solver = _cob_solver(H, m_w)
     for k in range(1, H.order + 1):
         if solver.solve((k * e1 * base) % m_w) is not None:
-            assert H.order % k == 0
+            if H.order % k:
+                raise VerificationFailed(f"class order {k} does not divide |H| = {H.order}")
             return k
-    raise AssertionError("no order up to |H|; cocycle invalid?")
+    raise VerificationFailed(f"no class order up to |H| = {H.order}")
 
 
 def _extend_solver(G: FiniteGroup, H: Subgroup, m_w) -> ModularSolver:
@@ -348,13 +358,11 @@ def extend_class(sig: ExpCocycle, G: FiniteGroup):
     H = sig.domain
     if H.parent is not G:
         raise NotASubgroup("cocycle domain is not a subgroup of the target group")
-    if not is_cocycle(sig):
-        raise NotACocycle("extend_class requires a valid cocycle")
+    sn, _ = normalize(sig)
     m_w = sig.modulus * G.exponent
     full = G.full_subgroup()
     if H.order == 1 or G.order == 1:
         return trivial_cocycle(full, m_w)
-    sn, f0 = normalize(sig)
     e1 = m_w // sig.modulus
     solver = _extend_solver(G, H, m_w)
     rhs = (e1 * _mat_to_coords(sn.mat)) % m_w
@@ -404,12 +412,14 @@ def h2_over_Fstar(G: FiniteGroup, order_cap=None) -> H2Description:
     for j, d in enumerate(snf.diag):
         if d == 1:
             continue
-        assert M % d == 0, (d, M)
+        if M % d:
+            raise VerificationFailed(f"H^2 invariant factor {d} does not divide |G| = {M}")
         factors.append(int(d))
         order *= int(d)
         vec = (snf.Vinv[j] @ GE) % N
         vec = eb.reduce_vector(vec)
-        assert not (vec % e).any()
+        if (vec % e).any():
+            raise VerificationFailed(f"H^2 representative is not divisible by exp(G) = {e}")
         reps.append(ExpCocycle(full, M, _coords_to_mat(vec // e, n)))
     desc = H2Description(
         G, M, N, tuple(factors), tuple(reps), order)

@@ -56,6 +56,10 @@ class DomainMismatch(ValidationError):
     """Cocycle operands live on different subgroups."""
 
 
+class ModulusTooLarge(ValidationError):
+    """Modulus too large for exact int64 linear algebra (needs N*N*width < 2**63)."""
+
+
 # twisted_algebra / graded_matrix
 
 class AlgebraMismatch(ValidationError):

@@ -1,11 +1,14 @@
 """Linear algebra over Z/N: Howell-form row reduction, diagonalization, solving.
 
-All moduli stay small (at most a few thousand), so rows live in int64 numpy
-arrays and every intermediate product fits with room to spare. The Howell
-completion rows make coset reduction canonical: reduce_vector returns the
-same vector for any two inputs that differ by an element of the row span,
-which downstream code uses for membership tests and for deterministic choice
-of representatives.
+Rows live in int64 numpy arrays. A residue product is below N*N and a dot
+product of residue vectors of length w below N*N*w, so RowReducer, snf_mod
+and ModularSolver refuse (ModulusTooLarge) any modulus with N*N*w >= 2**63
+for the widths they handle. The default moduli, |G|*exp(G) <= 64*64 at the
+default order cap, stay many orders of magnitude below that bound. The
+reduced Howell form makes coset reduction canonical: reduce_vector returns
+the same vector for any two inputs that differ by an element of the row
+span, which downstream code uses for membership tests and for deterministic
+choice of representatives.
 """
 from __future__ import annotations
 
@@ -13,6 +16,16 @@ from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
+
+from .errors import ModulusTooLarge
+
+
+def _check_int64(n_mod, width):
+    """Refuse a modulus whose width-term dot products could overflow int64."""
+    if n_mod * n_mod * max(width, 1) >= 2 ** 63:
+        raise ModulusTooLarge(
+            f"modulus {n_mod} at width {width} overflows int64 arithmetic "
+            f"(needs N*N*width < 2**63)")
 
 
 def xgcd(a, b):
@@ -47,85 +60,130 @@ def unit_lift(a, n):
     return u % n
 
 
-class RowReducer:
-    """Incremental Howell-form echelon over Z/N.
+# rows that add_matrix reduces together: a larger block shares each pivot's
+# pass among more rows, a smaller one lets later rows meet new pivots sooner
+_BLOCK_ROWS = 64
 
-    Keeps one pivot row per pivot column (leading entry a divisor of N) plus
-    the completion rows that make the form canonical. Insertion never shrinks
-    the row span.
+
+class RowReducer:
+    """Incremental reduced Howell form over Z/N (Howell 1986).
+
+    Keeps one pivot row per pivot column. Every pivot divides N, every row is
+    zero left of its pivot, every entry above a pivot lies in [0, pivot), and
+    the span of the rows whose pivot lies right of column c holds every span
+    vector that vanishes up to c (the completion rows (N/pivot)*row are
+    inserted for that). This form is unique for the row span, so basis() is
+    canonical. Insertion never shrinks the row span.
+
+    Because entries above a unit pivot are zero, adding a multiple of a pivot
+    row to any row changes it only in free columns and in columns of non-unit
+    pivots. Reduction therefore visits the pivots a row hits at the start plus
+    the non-unit pivots, and touches only the rows with a nonzero quotient and
+    the columns from the pivot on.
     """
 
     def __init__(self, n_mod, width):
         self.N = int(n_mod)
         self.width = int(width)
-        self.piv = {}
+        _check_int64(self.N, self.width)
+        self._rows = np.zeros((0, self.width), dtype=np.int64)
+        self._k = 0
+        # per column: row index of its pivot (-1 if none), pivot value (N if none)
+        self._slot = np.full(self.width, -1, dtype=np.intp)
+        self._pivot = np.full(self.width, self.N, dtype=np.int64)
+        self._nonunit = np.zeros(self.width, dtype=bool)
 
     def basis(self):
-        if not self.piv:
-            return np.zeros((0, self.width), dtype=np.int64)
-        return np.stack([self.piv[c] for c in sorted(self.piv)])
+        """The pivot rows, ordered by pivot column."""
+        return self._rows[self._slot[self._slot >= 0]]
 
-    def insert(self, vec):
-        N = self.N
-        stack = [np.asarray(vec, dtype=np.int64) % N]
-        while stack:
-            row = stack.pop()
-            while True:
-                nz = np.nonzero(row)[0]
-                if nz.size == 0:
-                    break
-                c = int(nz[0])
-                a = int(row[c])
-                piv = self.piv.get(c)
-                if piv is None:
-                    u = unit_lift(a, N)
-                    if u != 1:
-                        row = (u * row) % N
-                    g = int(row[c])
-                    self.piv[c] = row
-                    comp = ((N // g) * row) % N
-                    if comp.any():
-                        stack.append(comp)
-                    break
-                p = int(piv[c])
-                if a % p == 0:
-                    row = (row - (a // p) * piv) % N
-                else:
-                    g, s, t = xgcd(p, a)
-                    combined = (s * piv + t * row) % N
-                    residual = ((p // g) * row - (a // g) * piv) % N
-                    self.piv[c] = combined
-                    comp = ((N // g) * combined) % N
-                    if comp.any():
-                        stack.append(comp)
-                    row = residual
-        return self
-
-    def add_matrix(self, mat, chunk=512):
-        mat = np.atleast_2d(np.asarray(mat, dtype=np.int64)) % self.N
-        for lo in range(0, mat.shape[0], chunk):
-            block = mat[lo:lo + chunk].copy()
-            for c in sorted(self.piv):
-                prow = self.piv[c]
-                q = block[:, c] // int(prow[c])
-                if q.any():
-                    block = (block - q[:, None] * prow[None, :]) % self.N
-            for row in block:
-                if row.any():
-                    self.insert(row)
+    def add_matrix(self, mat):
+        mat = np.atleast_2d(np.asarray(mat, dtype=np.int64))
+        # each block is reduced in one pass against the pivots so far; its rows
+        # left nonzero are inserted one by one, and the next block sees them
+        for lo in range(0, mat.shape[0], _BLOCK_ROWS):
+            block = mat[lo:lo + _BLOCK_ROWS] % self.N
+            self._reduce(block)
+            for i in np.flatnonzero(block.any(axis=1)):
+                self._insert(block[i])
         return self
 
     def reduce_vector(self, vec):
         v = np.asarray(vec, dtype=np.int64) % self.N
-        for c in sorted(self.piv):
-            prow = self.piv[c]
-            q = int(v[c]) // int(prow[c])
-            if q:
-                v = (v - q * prow) % self.N
-        return v
+        return self._reduce(v[None, :])[0]
 
     def contains(self, vec):
         return not self.reduce_vector(vec).any()
+
+    def _reduce(self, block, start=0):
+        """Reduce the rows of block in place against the pivots at columns >= start."""
+        piv = self._pivot
+        hit = self._nonunit[start:] | (block[:, start:] >= piv[start:]).any(axis=0)
+        for c in (hit.nonzero()[0] + start).tolist():
+            q = block[:, c] // piv[c]
+            idx = q.nonzero()[0]
+            if idx.size:
+                self._subtract(block, idx, c, q[idx], self._rows[self._slot[c]])
+        return block
+
+    def _subtract(self, rows, idx, c, q, prow):
+        """rows[idx] -= q * prow, on the columns from c on (prow is zero left of c)."""
+        part = rows[idx, c:]
+        part -= q[:, None] * prow[c:]
+        part %= self.N
+        rows[idx, c:] = part
+
+    def _insert(self, row):
+        N = self.N
+        stack = [row]
+        while stack:
+            v = self._reduce(stack.pop()[None, :])[0]
+            nz = v.nonzero()[0]
+            if not nz.size:
+                continue
+            c = int(nz[0])
+            s = int(self._slot[c])
+            if s < 0:
+                s = self._new_slot(c)
+                self._rows[s] = (unit_lift(int(v[c]), N) * v) % N
+            else:
+                # v[c] lies in (0, pivot): replace the pivot by their gcd
+                old = self._rows[s].copy()
+                p, a = int(old[c]), int(v[c])
+                g, x, y = xgcd(p, a)
+                self._rows[s] = (x * old + y * v) % N
+                stack.append(((p // g) * v - (a // g) * old) % N)
+            g = self._settle(c, s)
+            if g > 1:
+                comp = ((N // g) * self._rows[s]) % N
+                if comp.any():
+                    stack.append(comp)
+
+    def _new_slot(self, c):
+        if self._k == self._rows.shape[0]:
+            cap = min(self.width, self._k + max(8, self._k // 4))
+            grown = np.zeros((cap, self.width), dtype=np.int64)
+            grown[:self._k] = self._rows[:self._k]
+            self._rows = grown
+        self._slot[c] = self._k
+        self._k += 1
+        return self._k - 1
+
+    def _settle(self, c, s):
+        """Restore reduced form after row s, the pivot row of column c, changed."""
+        R = self._rows
+        self._reduce(R[s:s + 1], c + 1)
+        g = int(R[s, c])
+        self._pivot[c] = g
+        self._nonunit[c] = g > 1
+        q = R[:self._k, c] // g
+        q[s] = 0
+        idx = q.nonzero()[0]
+        if idx.size:
+            self._subtract(R, idx, c, q[idx], R[s])
+            if self._nonunit[c + 1:].any():
+                R[idx] = self._reduce(R[idx], c + 1)
+        return g
 
 
 def howell_reduce(mat, n_mod):
@@ -135,18 +193,27 @@ def howell_reduce(mat, n_mod):
     return red
 
 
+def _with_identity(A, n_mod):
+    """Reduced Howell form of the rows of [A | I], fed a block at a time."""
+    m, n = A.shape
+    red = RowReducer(n_mod, n + m)
+    for lo in range(0, m, _BLOCK_ROWS):
+        hi = min(m, lo + _BLOCK_ROWS)
+        block = np.zeros((hi - lo, n + m), dtype=np.int64)
+        block[:, :n] = A[lo:hi]
+        block[np.arange(hi - lo), n + np.arange(lo, hi)] = 1
+        red.add_matrix(block)
+    return red
+
+
 def kernel_mod(A, n_mod):
     """Generator rows of {x : A @ x ≡ 0 (mod n_mod)}."""
-    A = np.atleast_2d(np.asarray(A, dtype=np.int64)) % n_mod
+    A = np.atleast_2d(np.asarray(A, dtype=np.int64))
     m, n = A.shape
     if m == 0:
         return np.eye(n, dtype=np.int64)
-    red = RowReducer(n_mod, m + n)
-    red.add_matrix(np.concatenate([A.T, np.eye(n, dtype=np.int64)], axis=1))
-    gens = [row[m:] for c, row in sorted(red.piv.items()) if c >= m]
-    if not gens:
-        return np.zeros((0, n), dtype=np.int64)
-    return np.stack(gens)
+    B = _with_identity(A.T, n_mod).basis()
+    return B[~B[:, :m].any(axis=1), m:]
 
 
 @dataclass
@@ -167,8 +234,10 @@ class SnfResult:
 
 def snf_mod(A, n_mod, want_u=False, want_v=False):
     N = int(n_mod)
-    A = np.atleast_2d(np.asarray(A, dtype=np.int64)).copy() % N
+    A = np.atleast_2d(np.asarray(A, dtype=np.int64))
     r, c = A.shape
+    _check_int64(N, max(r, c))
+    A = A % N
     U = np.eye(r, dtype=np.int64) if want_u else None
     Uinv = np.eye(r, dtype=np.int64) if want_u else None
     V = np.eye(c, dtype=np.int64) if want_v else None
@@ -295,13 +364,12 @@ class ModularSolver:
 
     def __init__(self, A, n_mod):
         N = int(n_mod)
-        A = np.atleast_2d(np.asarray(A, dtype=np.int64)) % N
+        A = np.atleast_2d(np.asarray(A, dtype=np.int64))
         m, n = A.shape
+        _check_int64(N, n + m)
         self.N = N
         self.ncols = n
-        red = RowReducer(N, n + m)
-        red.add_matrix(np.concatenate([A, np.eye(m, dtype=np.int64)], axis=1))
-        B = red.basis()
+        B = _with_identity(A, N).basis()
         R, C = B[:, :n], B[:, n:]
         snf = snf_mod(R, N, want_u=True, want_v=True)
         self.V = snf.V

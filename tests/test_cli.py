@@ -213,6 +213,23 @@ def test_cocycle_equiv_bad_modulus_override(capsys, files):
     assert "error:" in err
 
 
+def test_cocycle_equiv_overflowing_modulus_exits_2(capsys, tmp_path):
+    """8 * 3**18 overflows int64 in the solver; it once printed "equivalent": false."""
+    full = product(cyclic(2), cyclic(4)).full_subgroup()
+    rho = coboundary_from(ExpFunction(full, 8, [0, 3, 1, 5, 2, 7, 6, 4]))
+    paths = []
+    for name, sig in (("rho", rho), ("zero", trivial_cocycle(full, 8))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(jsonio.dumps(jsonio.cocycle_to_json(sig)), encoding="utf-8")
+        paths.append(str(path))
+    code, out, err = run(capsys, "--modulus", "3099363912", "cocycle", "equiv",
+                         "--a", paths[0], "--b", paths[1])
+    assert (code, out) == (2, "")
+    assert "2**63" in err
+    code, obj, _ = run_json(capsys, "cocycle", "equiv", "--a", paths[0], "--b", paths[1])
+    assert code == 0 and obj["equivalent"] is True
+
+
 def test_cocycle_restrict(capsys, files):
     code, obj, _ = run_json(capsys, "cocycle", "restrict",
                             "--cocycle", files["sig"], "--subgroup", "0,1")

@@ -1,10 +1,14 @@
 """Twist tables in exponent form: validity, equivalence, restriction,
 conjugation, extension, and the second cohomology description."""
+import itertools
+from math import gcd
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradalg import cocycles
 from gradalg.catalog import catalog_group, klein_sign_cocycle
 from gradalg.cocycles import (
     ExpCocycle,
@@ -27,11 +31,14 @@ from gradalg.cyclo import cyclo_field
 from gradalg.errors import (
     DomainMismatch,
     LengthMismatch,
+    ModulusTooLarge,
     NotACocycle,
     NotASubgroup,
     OrderCapExceeded,
+    VerificationFailed,
 )
-from gradalg.groups import Subgroup, cyclic, product
+from gradalg.groups import Subgroup, cyclic, parse_spec, product
+from gradalg.modlin import RowReducer, SnfResult
 
 
 # -- table basics ------------------------------------------------------------
@@ -225,6 +232,16 @@ def test_extension_can_fail_for_central_subgroups():
     assert hit == {1}
 
 
+def test_extend_class_checks_the_cocycle_once(monkeypatch, sign_cocycle):
+    G = product(cyclic(2), cyclic(2), cyclic(2))
+    sig = ExpCocycle(Subgroup(G, (0, 1, 2, 3)), 2, sign_cocycle.mat)
+    calls = []
+    real = cocycles.is_cocycle
+    monkeypatch.setattr(cocycles, "is_cocycle", lambda s: calls.append(s) or real(s))
+    assert extend_class(sig, G) is not None
+    assert len(calls) == 1
+
+
 def test_extend_validates(s3, sign_cocycle):
     with pytest.raises(NotASubgroup):
         extend_class(sign_cocycle, s3)
@@ -256,6 +273,19 @@ def test_h2_invariant_factors(name, factors):
     assert desc.order == order
 
 
+@pytest.mark.parametrize("spec", ["S4", "C2xC4xC4"])
+def test_h2_at_orders_24_and_32(spec):
+    """S4 has Schur multiplier Z/2; C_a x C_b x C_c has one Z/gcd per pair of factors."""
+    if spec == "S4":
+        expect = (2,)
+    else:
+        ns = (2, 4, 4)
+        expect = tuple(sorted(gcd(a, b) for a, b in itertools.combinations(ns, 2)))
+    desc = h2_over_Fstar(parse_spec(spec))
+    assert desc.invariant_factors == expect
+    assert all(is_cocycle(rep) for rep in desc.representatives)
+
+
 def test_h2_representatives_have_right_orders(klein):
     desc = h2_over_Fstar(catalog_group("C2xC2xC2"))
     assert len(desc.representatives) == 3
@@ -263,6 +293,47 @@ def test_h2_representatives_have_right_orders(klein):
         assert is_cocycle(rep)
         assert class_order(rep) == factor
     assert h2_over_Fstar(klein) is h2_over_Fstar(klein)  # cached per group
+
+
+def test_h2_checks_its_own_factors_and_representatives(monkeypatch):
+    # an invariant factor that does not divide |G|
+    monkeypatch.setattr(cocycles, "snf_mod",
+                        lambda A, N, want_v=False: SnfResult(diag=(N,) * A.shape[1]))
+    with pytest.raises(VerificationFailed, match="does not divide"):
+        h2_over_Fstar(product(cyclic(2), cyclic(2)))
+    monkeypatch.undo()
+    # a representative whose exponents are not multiples of exp(G)
+    monkeypatch.setattr(RowReducer, "reduce_vector", lambda self, v: (v + 1) % self.N)
+    with pytest.raises(VerificationFailed, match="not divisible"):
+        h2_over_Fstar(product(cyclic(2), cyclic(2)))
+
+
+class _StubSolver:
+    """Answers solvable from the `hit`-th right-hand side on, never if hit is None."""
+
+    def __init__(self, hit):
+        self.hit, self.calls = hit, 0
+
+    def solve(self, b):
+        self.calls += 1
+        return None if self.hit is None or self.calls < self.hit else np.zeros(1)
+
+
+@pytest.mark.parametrize("hit,message", [(3, "does not divide"), (None, "no class order")])
+def test_class_order_checks_its_answer(monkeypatch, sign_cocycle, hit, message):
+    monkeypatch.setattr(cocycles, "_cob_solver", lambda H, m_w: _StubSolver(hit))
+    with pytest.raises(VerificationFailed, match=message):
+        class_order(sign_cocycle)
+
+
+def test_overflowing_working_modulus_is_refused():
+    """8 * 3**18 overflows int64 in the solver; it once answered "inequivalent"."""
+    full = product(cyclic(2), cyclic(4)).full_subgroup()
+    rho = coboundary_from(ExpFunction(full, 8, [0, 3, 1, 5, 2, 7, 6, 4]))
+    zero = trivial_cocycle(full, 8)
+    assert classes_equivalent(rho, zero) is not None
+    with pytest.raises(ModulusTooLarge):
+        classes_equivalent(rho, zero, working_modulus=8 * 3 ** 18)
 
 
 def test_h2_order_cap():

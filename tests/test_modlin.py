@@ -1,11 +1,18 @@
 """Linear algebra over Z/N: reduction canonicity, kernels, SNF, and solving."""
+import itertools
+from math import gcd
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import smith_normal_form
 
+from gradalg.errors import ModulusTooLarge
 from gradalg.modlin import (
     ModularSolver,
+    RowReducer,
     howell_reduce,
     kernel_mod,
     modinv,
@@ -15,6 +22,8 @@ from gradalg.modlin import (
 )
 
 moduli = st.integers(min_value=2, max_value=36)
+# small enough to enumerate a span of up to four rows
+tiny_moduli = st.integers(min_value=2, max_value=8)
 
 
 def small_matrix(draw, n_mod, max_dim=4):
@@ -78,6 +87,70 @@ def test_howell_basis_spans_input_rows():
     assert not red.contains([1, 0])
 
 
+def span(rows, n, width):
+    """Every Z/n-combination of the rows, by enumeration."""
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, width)
+    if not rows.shape[0]:
+        return {(0,) * width}
+    coeffs = np.array(list(itertools.product(range(n), repeat=rows.shape[0])), dtype=np.int64)
+    return {tuple(v) for v in (coeffs @ rows) % n}
+
+
+@given(st.data(), tiny_moduli)
+@settings(max_examples=80, deadline=None)
+def test_basis_is_reduced_howell_form(data, n):
+    A = small_matrix(data.draw, n)
+    B = howell_reduce(A, n).basis()
+    width = A.shape[1]
+    assert ((B >= 0) & (B < n)).all()
+    lead = [int(np.flatnonzero(row)[0]) for row in B]  # no zero rows
+    assert lead == sorted(set(lead))
+    for i, c in enumerate(lead):
+        p = B[i, c]
+        assert n % p == 0
+        assert (B[:i, c] < p).all()
+    # Howell property: the span vectors vanishing up to column c are exactly
+    # the span of the rows whose pivot lies right of c
+    full = span(B, n, width)
+    for c in range(width):
+        vanishing = {v for v in full if not any(v[:c + 1])}
+        right = [row for row, col in zip(B, lead) if col > c]
+        assert vanishing == span(right, n, width)
+
+
+@given(st.data(), tiny_moduli)
+@settings(max_examples=80, deadline=None)
+def test_basis_spans_exactly_the_input_rows(data, n):
+    A = small_matrix(data.draw, n)
+    assert span(howell_reduce(A, n).basis(), n, A.shape[1]) == span(A, n, A.shape[1])
+
+
+@given(st.data(), moduli)
+@settings(max_examples=80)
+def test_basis_bytes_ignore_row_order_and_split(data, n):
+    A = small_matrix(data.draw, n, max_dim=5)
+    extra = data.draw(st.lists(st.integers(0, n - 1), min_size=A.shape[0], max_size=A.shape[0]))
+    rows = np.vstack([A, (np.array(extra) @ A) % n])  # a redundant row changes no span
+    order = data.draw(st.permutations(range(rows.shape[0])))
+    cut = data.draw(st.integers(0, rows.shape[0]))
+    red = RowReducer(n, A.shape[1])
+    red.add_matrix(rows[list(order[:cut])])
+    red.add_matrix(rows[list(order[cut:])])
+    assert red.basis().tobytes() == howell_reduce(A, n).basis().tobytes()
+
+
+def test_basis_bytes_ignore_row_blocking():
+    """Inputs longer than one elimination block give the same bytes fed any way."""
+    rng = np.random.default_rng(7)
+    A = rng.integers(0, 12, size=(150, 6)) * rng.integers(0, 2, size=(150, 6))
+    whole = howell_reduce(A, 12).basis()
+    one_by_one = RowReducer(12, 6)
+    for row in A[::-1]:
+        one_by_one.add_matrix(row)
+    assert one_by_one.basis().tobytes() == whole.tobytes()
+    assert whole.shape[0] == 6
+
+
 @given(st.data(), moduli)
 @settings(max_examples=60)
 def test_kernel_mod_annihilates(data, n):
@@ -109,6 +182,18 @@ def test_snf_transforms_witness(data, n):
     # transforms invert each other
     assert ((res.U @ res.Uinv) % n == np.eye(A.shape[0], dtype=np.int64) % n).all()
     assert ((res.V @ res.Vinv) % n == np.eye(A.shape[1], dtype=np.int64) % n).all()
+
+
+@given(st.data(), moduli)
+@settings(max_examples=60, deadline=None)
+def test_snf_diag_matches_sympy_over_the_integers(data, n):
+    """Over Z/n the invariant factors are gcd(d_i, n) of the integer Smith form."""
+    A = small_matrix(data.draw, n)
+    r, c = A.shape
+    S = smith_normal_form(Matrix(A.tolist()), domain=ZZ)
+    d = [abs(int(S[i, i])) for i in range(min(r, c))]
+    expect = tuple(gcd(x, n) for x in d) + (n,) * (c - min(r, c))
+    assert snf_mod(A, n).diag == expect
 
 
 def test_snf_divisibility():
@@ -160,3 +245,21 @@ def test_kernel_matches_brute_force(n):
             in_kernel = ((A @ v) % n == 0).all()
             spanned = red.contains(v) if red is not None else not v.any()
             assert in_kernel == spanned
+
+
+def test_modulus_too_large_is_refused():
+    """int64 holds a width-term dot product of residues only while N*N*width < 2**63."""
+    big = 2 ** 31
+    RowReducer(big, 1)
+    snf_mod(np.ones((1, 1), dtype=np.int64), big)
+    with pytest.raises(ModulusTooLarge):
+        RowReducer(big, 2)
+    with pytest.raises(ModulusTooLarge):
+        snf_mod(np.ones((2, 1), dtype=np.int64), big)
+    with pytest.raises(ModulusTooLarge):
+        ModularSolver(np.ones((1, 1), dtype=np.int64), big)
+    # the default working modulus |G|*exp(G) at the default order cap of 64,
+    # at the widest system the engine builds there, is far inside the bound
+    n = 64
+    RowReducer(n * n, 2 * (n - 1) ** 2)
+    assert (n * n) ** 2 * 2 * (n - 1) ** 2 < 2 ** 63 // 10 ** 6
