@@ -144,8 +144,9 @@ def _crit_sign_table():
     problems = []
     if not is_cocycle(sig):
         problems.append("table fails the cocycle identity")
-    if class_order(sig) != 2:
-        problems.append(f"class order {class_order(sig)} != 2")
+    order = class_order(sig)
+    if order != 2:
+        problems.append(f"class order {order} != 2")
     if classes_equivalent(sig, trivial_cocycle(H, 2)) is not None:
         problems.append("table is a coboundary")
     axis = Subgroup(G, (0, 1))

@@ -312,14 +312,12 @@ def classes_equivalent(sig: ExpCocycle, rho: ExpCocycle, working_modulus=None):
 
 def class_order(sig: ExpCocycle):
     """Least k >= 1 with k*sig trivial over the field; divides |H|."""
-    if not is_cocycle(sig):
-        raise NotACocycle("class_order requires a valid cocycle")
+    sn, _ = normalize(sig)
     H = sig.domain
     if H.order == 1:
         return 1
     m_w = sig.modulus * H.exponent
     e1 = m_w // sig.modulus
-    sn, _ = normalize(sig)
     base = _mat_to_coords(sn.mat)
     solver = _cob_solver(H, m_w)
     for k in range(1, H.order + 1):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DivisionByZero, FieldMismatch
+from .errors import DivisionByZero, FieldMismatch, VerificationFailed
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -28,11 +28,13 @@ def _poly_divmod_exact(num, den):
     q = [0] * (len(num) - len(den) + 1)
     for k in range(len(q) - 1, -1, -1):
         c = num[k + len(den) - 1]
-        assert c % den[-1] == 0
+        if c % den[-1]:
+            raise VerificationFailed("inexact division of integer polynomials")
         q[k] = c // den[-1]
         for i, d in enumerate(den):
             num[k + i] -= q[k] * d
-    assert not any(num)
+    if any(num):
+        raise VerificationFailed("integer polynomial division leaves a remainder")
     return q
 
 

@@ -1,9 +1,10 @@
 """Dense exact linear algebra over a cyclotomic field.
 
-Matrices are lists of rows of CycloNumber.  The sizes that show up here
-are tiny (identity-space columns are bounded by n! <= 24, rows by products
-of component dimensions), so plain Gauss-Jordan with exact inverses is
-fast enough and keeps every output canonical.
+Matrices are lists of rows of CycloNumber, reduced by Gauss-Jordan with
+exact inverses, so every output is canonical.  Callers keep the matrices
+small: `identities` hands over a minor of at most n! <= 24 rows that it
+picked modulo a prime, and checks the rows left out itself; `embed` asks
+for the rank of a map's basis images when they are not distinct monomials.
 """
 
 from __future__ import annotations
@@ -14,11 +15,14 @@ def rref(rows, field):
 
     Returns (reduced, pivots) where reduced holds only the nonzero rows,
     each with a leading 1, and pivots lists their pivot columns in order.
+    A pivot row is zero left of its pivot, so eliminating with it touches
+    only the columns right of the pivot where it is nonzero.
     """
     mat = [list(r) for r in rows]
     if not mat:
         return [], []
     width = len(mat[0])
+    zero = field.zero()
     pivots = []
     rank = 0
     for col in range(width):
@@ -26,12 +30,18 @@ def rref(rows, field):
         if src is None:
             continue
         mat[rank], mat[src] = mat[src], mat[rank]
-        inv = mat[rank][col].inv()
-        mat[rank] = [inv * v for v in mat[rank]]
+        piv = mat[rank]
+        if not piv[col].is_one():
+            inv = piv[col].inv()
+            piv[col:] = [inv * v for v in piv[col:]]
+        support = [j for j in range(col + 1, width) if not piv[j].is_zero()]
         for r in range(len(mat)):
-            if r != rank and not mat[r][col].is_zero():
-                c = mat[r][col]
-                mat[r] = [a - c * b for a, b in zip(mat[r], mat[rank])]
+            row = mat[r]
+            if r != rank and not row[col].is_zero():
+                c = row[col]
+                row[col] = zero
+                for j in support:
+                    row[j] = row[j] - c * piv[j]
         pivots.append(col)
         rank += 1
         if rank == len(mat):
@@ -49,7 +59,7 @@ def residual(reduced, pivots, vec):
     for r, pc in enumerate(pivots):
         c = v[pc]
         if not c.is_zero():
-            v = [a - c * b for a, b in zip(v, reduced[r])]
+            v = [a if b.is_zero() else a - c * b for a, b in zip(v, reduced[r])]
     return v
 
 
@@ -57,13 +67,12 @@ def in_span(reduced, pivots, vec):
     return all(x.is_zero() for x in residual(reduced, pivots, vec))
 
 
-def kernel_basis(rows, width, field):
-    """Canonical basis of the right kernel {v : A v = 0}.
+def kernel_basis(reduced, pivots, width, field):
+    """Canonical basis of the right kernel {v : A v = 0}, given rref(A).
 
     One vector per free column, in ascending column order, with a 1 in the
-    free coordinate.  An empty row list yields the standard basis.
+    free coordinate.  An empty matrix yields the standard basis.
     """
-    reduced, pivots = rref(rows, field)
     pivot_set = set(pivots)
     basis = []
     for free in range(width):

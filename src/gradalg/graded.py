@@ -1,10 +1,11 @@
 """Elements and maps shared by the graded algebra types.
 
 An algebra object supplies: field, ambient, dim, basis_keys(),
-degree_of_key(key), multiply_basis(k1, k2) -> (coef, key) | None, and
-one().  Twisted group algebras key their basis by group element id,
-matrix algebras by (row, col, group element) triples; everything in this
-module is generic over the key type.
+degree_of_key(key), multiply_basis_exp(k1, k2) -> (e, key) | None for the
+structure constant zeta_M^e, multiply_basis(k1, k2) -> (coef, key) | None
+(from MonomialAlgebra), and one().  Twisted group algebras key their basis
+by group element id, matrix algebras by (row, col, group element) triples;
+everything in this module is generic over the key type.
 """
 
 from __future__ import annotations
@@ -30,6 +31,17 @@ def _coerce(field, value):
     if isinstance(value, (int, Fraction)):
         return field.from_fraction(value)
     raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
+
+
+class MonomialAlgebra:
+    """multiply_basis read off multiply_basis_exp: every product of two
+    basis elements is a root of unity times a basis element, or zero."""
+
+    def multiply_basis(self, k1, k2):
+        hit = self.multiply_basis_exp(k1, k2)
+        if hit is None:
+            return None
+        return self.field.root(hit[0]), hit[1]
 
 
 class GradedElement:

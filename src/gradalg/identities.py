@@ -3,15 +3,35 @@
 A multilinear graded polynomial of degree n over a degree assignment
 (g_1, ..., g_n) is a combination sum_w c_w x_{w(1)} ... x_{w(n)} over
 permutations w, where the variable x_i only takes homogeneous values of
-degree g_i.  Identity spaces are computed exactly as kernels over the
-coefficient field, with substitutions running over component bases.
+degree g_i.  Its identities at the assignment form the kernel of the
+evaluation matrix: one row per (basis substitution, landing basis key), one
+column per permutation in lexicographic order.
+
+Both algebra types are monomial, so every entry of that matrix is 0 or a
+root of unity zeta_M^e (M the field's root order), and rows are built as
+exponents from basis products, scaled to start with zeta^0 and
+deduplicated.  The rows that stay independent modulo a prime p = 1 (mod M),
+with zeta_M sent to an element of order M, are independent over Q(zeta_M)
+and form a minor of at most n! rows, which fieldlin row-reduces exactly.
+Every other row is then checked exactly, in integer arithmetic modulo the
+M-th cyclotomic polynomial, to be killed by the minor's kernel; a row that
+is not joins the minor.  This is the split of Dixon, "Exact solution of
+linear equations using p-adic expansions", Numer. Math. 40 (1982): the
+prime only picks the pivot rows, so the spaces are exact for any prime.
+
+Containment compares row spaces: every identity of A is one of B exactly
+when the rows of B lie in the row space of A.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import factorial, lcm, prod
+from functools import lru_cache
+from math import factorial, isqrt, lcm, prod
+from typing import NamedTuple
+
+import numpy as np
 
 from . import fieldlin
 from .config import EngineConfig
@@ -24,6 +44,7 @@ from .errors import (
     FieldMismatch,
     LengthMismatch,
     ValidationError,
+    VerificationFailed,
 )
 from .groups import same_group
 
@@ -136,23 +157,184 @@ def _perms(n):
     return sorted(itertools.permutations(range(1, n + 1)))
 
 
-def _evaluation_rows(algebra, perms, degs):
-    """One row per (substitution, landing basis key): evaluation coefficients
-    of the n! monomials."""
-    field = algebra.field
+def _products(mul, keys):
+    """keys[w(1)-1] ... keys[w(n)-1] for every permutation w, in lexicographic
+    order: (e, key) for zeta_M^e times a basis key, or None for zero.
+
+    mul is the algebra's multiply_basis_exp.  Permutations that share a
+    prefix share its product.
+    """
+    out = []
+
+    def walk(e, key, rest):
+        if not rest:
+            out.append((e, key))
+            return
+        for k, i in enumerate(rest):
+            tail = rest[:k] + rest[k + 1:]
+            hit = mul(key, keys[i])
+            if hit is None:
+                out.extend([None] * factorial(len(tail)))
+            else:
+                walk(e + hit[0], hit[1], tail)
+
+    everything = tuple(range(len(keys)))
+    for i in everything:
+        walk(0, keys[i], everything[:i] + everything[i + 1:])
+    return out
+
+
+def _exponent_rows(algebra, degs):
+    """Distinct rows of the evaluation matrix in exponent form, each mapped
+    to the first basis substitution that gives it.
+
+    The matrix has one row per (substitution, landing basis key) and one
+    column per permutation; an entry zeta_M^e is stored as e, a zero as -1.
+    Each row is scaled to start with zeta^0 before duplicates are dropped,
+    which keeps the row space.  Component basis elements are single basis
+    keys with coefficient 1, so the rows need only basis products.
+    """
+    m = algebra.field.modulus
+    width = factorial(len(degs))
     comps = [algebra.component_basis(g) for g in degs]
-    rows = []
+    mul = lru_cache(maxsize=None)(algebra.multiply_basis_exp)
+    rows = {}
     for subst in itertools.product(*comps):
         landed = {}
-        for col, perm in enumerate(perms):
-            term = subst[perm[0] - 1]
-            for idx in perm[1:]:
-                term = term * subst[idx - 1]
-            for key, c in term.terms.items():
-                row = landed.setdefault(key, [field.zero()] * len(perms))
-                row[col] = row[col] + c
-        rows.extend(landed[key] for key in sorted(landed))
+        keys = [elt.support_keys()[0] for elt in subst]
+        for col, hit in enumerate(_products(mul, keys)):
+            if hit is not None:
+                landed.setdefault(hit[1], [-1] * width)[col] = hit[0]
+        for row in landed.values():
+            lead = next(e for e in row if e >= 0)
+            rows.setdefault(
+                tuple((e - lead) % m if e >= 0 else -1 for e in row), subst)
     return rows
+
+
+def _is_prime(p):
+    return p > 1 and all(p % q for q in range(2, isqrt(p) + 1))
+
+
+@lru_cache(maxsize=None)
+def _prime_for(m):
+    """(p, g): the largest prime p < 2**31 with p = 1 (mod m), and an
+    element g of order m modulo p, so that zeta_m -> g is a ring map."""
+    p = (2**31 - 2) // m * m + 1
+    while not _is_prime(p):
+        p -= m
+    primes = [q for q in range(2, m + 1) if m % q == 0 and _is_prime(q)]
+    h = 2
+    while True:
+        g = pow(h, (p - 1) // m, p)
+        if all(pow(g, m // q, p) != 1 for q in primes):
+            return p, g
+        h += 1
+
+
+def _pivot_rows(E, m):
+    """Indices of the rows of E (exponent form) that are independent modulo
+    the prime for m, taken greedily in order: at most width of them.
+
+    Rows independent modulo p are independent over Q(zeta_m).  The search
+    row-reduces the transpose, whose pivot columns are those rows; p < 2**31
+    keeps every product of two residues below 2**62, inside int64.
+    """
+    p, g = _prime_for(m)
+    # a zero entry, stored as -1, picks the trailing 0
+    powers = np.array([pow(g, e, p) for e in range(m)] + [0], dtype=np.int64)
+    A = powers[E].T.copy()
+    width = A.shape[0]
+    picked = []
+    r = c = 0
+    while r < width:
+        hit = np.flatnonzero(A[r:, c:].any(axis=0))
+        if not hit.size:
+            break
+        c += int(hit[0])
+        s = r + int(np.flatnonzero(A[r:, c])[0])
+        A[[r, s]] = A[[s, r]]
+        A[r, c:] = A[r, c:] * pow(int(A[r, c]), p - 2, p) % p
+        A[r + 1:, c:] = (A[r + 1:, c:] - A[r + 1:, c, None] * A[r, c:]) % p
+        picked.append(c)
+        r += 1
+        c += 1
+    return picked
+
+
+def _not_killed(E, vectors, field):
+    """Mask over the rows r of E (exponent form): whether some vector v has
+    sum_j zeta_m^E[r, j] v_j != 0 in the field Q(zeta_m), decided exactly.
+
+    Each v is scaled to integer polynomials v_j(x) of degree < phi(m); row r
+    sums the rotations x^E[r, j] v_j(x) in Z[x]/(x^m - 1), which is then
+    reduced modulo Phi_m.  int64 is used only when the bound on every sum
+    and product is below 2**63, else Python ints.
+    """
+    rows, width = E.shape
+    if not vectors or not rows:
+        return np.zeros(rows, dtype=bool)
+    m = field.modulus
+    # row t: the coefficients of x^t modulo Phi_m
+    residues = [[int(c) for c in field.root(t).coeffs] for t in range(m)]
+    polys = []
+    for v in vectors:
+        coeffs = [c.coeffs if not c.is_zero() else () for c in v]
+        den = lcm(*(q.denominator for cs in coeffs for q in cs))
+        polys.append([[int(q * den) for q in cs] + [0] * (m - len(cs)) for cs in coeffs])
+    big = max(abs(x) for P in polys for vj in P for x in vj)
+    small = max(abs(x) for res in residues for x in res)
+    dtype = np.int64 if m * width * big * small < 2**63 else object
+    K = np.array(polys, dtype=dtype)
+    total = np.zeros((rows, len(vectors), m), dtype=dtype)
+    for j in range(width):
+        live = np.flatnonzero(E[:, j] >= 0)
+        # coefficient t of x^e v_j(x) modulo x^m - 1 is coefficient t - e of v_j
+        shift = (np.arange(m)[None, :] - E[live, j, None]) % m
+        total[live] += K[:, j][:, shift].transpose(1, 0, 2)
+    reduced = total @ np.array(residues, dtype=dtype)
+    return (reduced != 0).reshape(rows, -1).any(axis=1)
+
+
+class _RowSpace(NamedTuple):
+    """The row space of an evaluation matrix: its rref, canonical kernel
+    basis, distinct rows in exponent form and, per row, the first basis
+    substitution that gives it."""
+
+    reduced: list
+    pivots: list
+    kernel: list
+    rows: np.ndarray
+    substs: list
+
+
+def _row_space(algebra, degs):
+    """Exact row space of the evaluation matrix at one degree assignment.
+
+    The rows picked modulo a prime form the minor that fieldlin reduces;
+    every row left out is then checked to be killed by the minor's kernel,
+    and the first that is not joins the minor.  So the result is exact for any prime.
+    """
+    field = algebra.field
+    m = field.modulus
+    width = factorial(len(degs))
+    rows = _exponent_rows(algebra, degs)
+    distinct = list(rows)
+    E = np.array(distinct, dtype=np.int64).reshape(len(distinct), width)
+    minor = _pivot_rows(E, m)
+    zero = field.zero()
+    while True:
+        reduced, pivots = fieldlin.rref(
+            [[field.root(e) if e >= 0 else zero for e in distinct[i]] for i in minor],
+            field)
+        kernel = fieldlin.kernel_basis(reduced, pivots, width, field)
+        out = np.ones(len(distinct), dtype=bool)
+        out[minor] = False
+        out = np.flatnonzero(out)
+        missed = out[_not_killed(E[out], kernel, field)]
+        if not missed.size:
+            return _RowSpace(reduced, pivots, kernel, E, list(rows.values()))
+        minor.append(int(missed[0]))
 
 
 def _check_cap(n, config):
@@ -169,16 +351,17 @@ def identity_space(algebra, assignment, config=None):
     """
     config = config or EngineConfig()
     _check_cap(assignment.n, config)
+    kernel = _row_space(algebra, assignment.degs).kernel
     perms = _perms(assignment.n)
-    rows = _evaluation_rows(algebra, perms, assignment.degs)
-    kernel = fieldlin.kernel_basis(rows, len(perms), algebra.field)
-    basis = tuple(
-        GradedMultilinearPoly(
-            assignment,
-            {perms[i]: v[i] for i in range(len(perms)) if not v[i].is_zero()},
-            algebra.field)
-        for v in kernel)
+    basis = tuple(_poly(assignment, perms, v, algebra.field) for v in kernel)
     return IdentitySpace(algebra=algebra, assignment=assignment, basis=basis)
+
+
+def _poly(assignment, perms, vec, field):
+    return GradedMultilinearPoly(
+        assignment,
+        {perms[i]: c for i, c in enumerate(vec) if not c.is_zero()},
+        field)
 
 
 @dataclass(frozen=True)
@@ -212,32 +395,17 @@ class ContainmentReport:
         return None
 
 
-def _poly_vector(poly, perms, field):
-    zero = field.zero()
-    return [poly.coeffs.get(p, zero) for p in perms]
-
-
-def _separating_witness(poly, algebra):
-    """A basis substitution in the second algebra where the polynomial does
-    not vanish; exists whenever the polynomial is not one of its identities."""
-    comps = [algebra.component_basis(g) for g in poly.assignment.degs]
-    for subst in itertools.product(*comps):
-        value = evaluate(poly, algebra, subst)
-        if not value.is_zero():
-            keys = tuple(elt.support_keys()[0] for elt in subst)
-            return keys, value
-    return None, None
-
-
 def multilinear_containment(A, B, n_max, config=None):
     """Compare multilinear identities: is every identity of A (first
     argument) an identity of B, degree by degree up to n_max?
 
     Assignments run over the union of the two supports.  An assignment
     whose estimated row count exceeds the work budget is skipped and
-    listed; a non-contained assignment records the first separating basis
-    polynomial of A's space together with a substitution in B where it
-    does not vanish.
+    listed.  The identities of A lie among those of B exactly when the
+    evaluation rows of B lie in the row space of A's.  A non-contained
+    assignment records the first basis polynomial of A's space that some
+    row of B does not kill, together with the first basis substitution in
+    B where it does not vanish.
     """
     config = config or EngineConfig()
     if n_max < 1:
@@ -261,27 +429,32 @@ def multilinear_containment(A, B, n_max, config=None):
             if factorial(n) * max(ra, rb, 1) > config.work_budget:
                 skipped.append(tuple(degs))
                 continue
-            assignment = DegreeAssignment(degs)
-            space_a = identity_space(A2, assignment, config)
-            space_b = identity_space(B2, assignment, config)
-            b_rows = [_poly_vector(p, perms, field) for p in space_b.basis]
-            reduced, pivots = fieldlin.rref(b_rows, field)
-            separating = None
-            for poly in space_a.basis:
-                vec = _poly_vector(poly, perms, field)
-                if not fieldlin.in_span(reduced, pivots, vec):
-                    separating = poly
-                    break
-            if separating is None:
+            a, b = _row_space(A2, degs), _row_space(B2, degs)
+            dim_source = len(perms) - len(a.reduced)
+            dim_target = len(perms) - len(b.reduced)
+            if all(fieldlin.in_span(a.reduced, a.pivots, row) for row in b.reduced):
                 verdicts.append(AssignmentVerdict(
                     degs=tuple(degs), contained=True,
-                    dim_source=space_a.dimension, dim_target=space_b.dimension))
+                    dim_source=dim_source, dim_target=dim_target))
+                continue
+            for vec in a.kernel:
+                missed = np.flatnonzero(_not_killed(b.rows, [vec], field))
+                if missed.size:
+                    break
             else:
-                keys, value = _separating_witness(separating, B2)
-                verdicts.append(AssignmentVerdict(
-                    degs=tuple(degs), contained=False,
-                    dim_source=space_a.dimension, dim_target=space_b.dimension,
-                    separating=separating,
-                    witness_substitution=keys, witness_value=value))
+                raise VerificationFailed(
+                    f"no identity of the source separates at {tuple(degs)}")
+            separating = _poly(DegreeAssignment(degs), perms, vec, field)
+            subst = b.substs[missed[0]]
+            value = evaluate(separating, B2, subst)
+            if value.is_zero():
+                raise VerificationFailed(
+                    f"separating witness evaluates to zero at {tuple(degs)}")
+            verdicts.append(AssignmentVerdict(
+                degs=tuple(degs), contained=False,
+                dim_source=dim_source, dim_target=dim_target,
+                separating=separating,
+                witness_substitution=tuple(elt.support_keys()[0] for elt in subst),
+                witness_value=value))
     return ContainmentReport(n_max=n_max, verdicts=tuple(verdicts),
                              skipped=tuple(skipped))

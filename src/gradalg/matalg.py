@@ -22,7 +22,7 @@ from .errors import (
     ValidationError,
     VerificationFailed,
 )
-from .graded import GradedElement, GradedMap
+from .graded import GradedElement, GradedMap, MonomialAlgebra
 from .groups import normalizer
 from .twisted import TwistedGroupAlgebra
 
@@ -33,7 +33,7 @@ class MatBasisElt(NamedTuple):
     zeta: int
 
 
-class GradedMatrixAlgebra:
+class GradedMatrixAlgebra(MonomialAlgebra):
     """M_k(B) for a twisted group algebra B, graded by a degree tuple."""
 
     def __init__(self, base, theta):
@@ -107,11 +107,11 @@ class GradedMatrixAlgebra:
         N = set(normalizer(self.ambient, self.subgroup).members)
         return all(t in N for t in self.theta)
 
-    def multiply_basis(self, key1, key2):
+    def multiply_basis_exp(self, key1, key2):
         if key1.j != key2.i:
             return None
-        coef, prod = self.base.multiply_basis(key1.zeta, key2.zeta)
-        return coef, MatBasisElt(key1.i, key2.j, prod)
+        e, prod = self.base.multiply_basis_exp(key1.zeta, key2.zeta)
+        return e, MatBasisElt(key1.i, key2.j, prod)
 
     # -- element constructors ---------------------------------------------
 

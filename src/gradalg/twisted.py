@@ -17,11 +17,11 @@ from .errors import (
     NotACocycle,
     ZeroElement,
 )
-from .graded import GradedElement
+from .graded import GradedElement, MonomialAlgebra
 from .groups import same_subgroup
 
 
-class TwistedGroupAlgebra:
+class TwistedGroupAlgebra(MonomialAlgebra):
     """F^sigma[H], graded by the ambient group of H."""
 
     def __init__(self, subgroup, sigma=None, field=None):
@@ -41,6 +41,7 @@ class TwistedGroupAlgebra:
         self.sigma = sigma
         self.field = field
         self._member_set = frozenset(subgroup.members)
+        self._step = field.modulus // sigma.modulus
 
     @property
     def ambient(self):
@@ -62,8 +63,9 @@ class TwistedGroupAlgebra:
     def sigma_value(self, x, y):
         return self.sigma.value(self.field, x, y)
 
-    def multiply_basis(self, x, y):
-        return self.sigma_value(x, y), self.ambient.mul(x, y)
+    def multiply_basis_exp(self, x, y):
+        """eta_x eta_y = zeta_M^e eta_xy as (e, xy), M the field's root order."""
+        return self.sigma.entry(x, y) * self._step, self.ambient.mul(x, y)
 
     # -- element constructors ---------------------------------------------
 

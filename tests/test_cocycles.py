@@ -242,6 +242,16 @@ def test_extend_class_checks_the_cocycle_once(monkeypatch, sign_cocycle):
     assert len(calls) == 1
 
 
+def test_class_order_checks_the_cocycle_once(monkeypatch, sign_cocycle):
+    calls = []
+    real = cocycles.is_cocycle
+    monkeypatch.setattr(cocycles, "is_cocycle", lambda s: calls.append(s) or real(s))
+    assert class_order(sign_cocycle) == 2
+    assert len(calls) == 1
+    with pytest.raises(NotACocycle):
+        class_order(ExpCocycle(sign_cocycle.domain, 2, np.eye(4, dtype=np.int64)))
+
+
 def test_extend_validates(s3, sign_cocycle):
     with pytest.raises(NotASubgroup):
         extend_class(sign_cocycle, s3)

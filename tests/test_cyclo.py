@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradalg.cyclo import CycloField, cyclo_field, cyclotomic_polynomial
-from gradalg.errors import DivisionByZero, FieldMismatch
+from gradalg.cyclo import CycloField, _poly_divmod_exact, cyclo_field, cyclotomic_polynomial
+from gradalg.errors import DivisionByZero, FieldMismatch, VerificationFailed
 
 
 def totient(m):
@@ -29,6 +29,15 @@ KNOWN_POLYS = {
 @pytest.mark.parametrize("m,coeffs", sorted(KNOWN_POLYS.items()))
 def test_cyclotomic_polynomial_known(m, coeffs):
     assert list(cyclotomic_polynomial(m)) == coeffs
+
+
+@pytest.mark.parametrize("num,den,message", [
+    ((0, 1), (1, 2), "inexact"),  # x / (1 + 2x)
+    ((1, 0, 1), (1, 1), "remainder"),  # (1 + x^2) / (1 + x)
+])
+def test_exact_division_checks_itself(num, den, message):
+    with pytest.raises(VerificationFailed, match=message):
+        _poly_divmod_exact(num, den)
 
 
 @pytest.mark.parametrize("m", range(1, 25))

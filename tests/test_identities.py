@@ -1,10 +1,16 @@
 """Multilinear graded identities: spaces, evaluation, and containment."""
+import itertools
 from fractions import Fraction
+from math import lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradalg import fieldlin, identities, jsonio
+from gradalg.catalog import catalog_group, klein_sign_cocycle
+from gradalg.cocycles import ExpCocycle, ExpFunction, coboundary_from, trivial_cocycle
 from gradalg.config import EngineConfig
 from gradalg.cyclo import cyclo_field
 from gradalg.errors import (
@@ -210,3 +216,148 @@ def test_space_members_vanish_on_random_substitutions(data, klein, sign_cocycle)
         q = Fraction(data.draw(st.integers(-3, 3)), data.draw(st.integers(1, 3)))
         subst.append(algebra.eta(g).scaled(F.from_fraction(q)))
     assert evaluate(poly, algebra, tuple(subst)).is_zero()
+
+
+# -- reference: the whole evaluation matrix --------------------------------------
+
+def _full_kernel(algebra, degs):
+    """Canonical kernel of the undeduplicated evaluation matrix, one row per
+    (basis substitution, landing key), built from GradedElement products."""
+    perms = sorted(itertools.permutations(range(1, len(degs) + 1)))
+    F = algebra.field
+    rows = []
+    for subst in itertools.product(*(algebra.component_basis(g) for g in degs)):
+        landed = {}
+        for col, perm in enumerate(perms):
+            term = subst[perm[0] - 1]
+            for idx in perm[1:]:
+                term = term * subst[idx - 1]
+            for key, c in term.terms.items():
+                landed.setdefault(key, [F.zero()] * len(perms))[col] = c
+        rows.extend(landed.values())
+    return perms, fieldlin.kernel_basis(*fieldlin.rref(rows, F), len(perms), F)
+
+
+def _vector(poly, perms):
+    return [poly.coeffs.get(w, poly.field.zero()) for w in perms]
+
+
+def _reference_verdict(A, B, degs):
+    """(dim_source, dim_target, separating vector, witness keys, value) as the
+    kernels of the whole matrices give them; the last three are None when
+    every identity of A is one of B."""
+    perms, ka = _full_kernel(A, degs)
+    _, kb = _full_kernel(B, degs)
+    reduced, pivots = fieldlin.rref(kb, B.field)
+    sep = next((v for v in ka if not fieldlin.in_span(reduced, pivots, v)), None)
+    if sep is None:
+        return len(ka), len(kb), None, None, None
+    poly = GradedMultilinearPoly(
+        DegreeAssignment(degs),
+        {w: c for w, c in zip(perms, sep) if not c.is_zero()}, B.field)
+    for subst in itertools.product(*(B.component_basis(g) for g in degs)):
+        value = evaluate(poly, B, subst)
+        if not value.is_zero():
+            keys = tuple(elt.support_keys()[0] for elt in subst)
+            return len(ka), len(kb), sep, keys, value
+    raise AssertionError("separating polynomial vanishes on every substitution")
+
+
+GROUPS = ("C2xC2", "C4", "Q8", "S3")
+
+
+def _draw_algebra(data, name, matrix):
+    """A twisted group algebra on all of the group, twisted by a coboundary
+    of a drawn modulus (and on V4 maybe by the sign class), or M_2 over one
+    with a drawn degree tuple."""
+    G = catalog_group(name)
+    H = G.full_subgroup()
+    m = data.draw(st.sampled_from((1, 2, 3, 4, 6)), label="modulus")
+    vec = data.draw(st.lists(st.integers(0, m - 1), min_size=H.order,
+                             max_size=H.order), label="f")
+    mat = coboundary_from(ExpFunction(H, m, vec)).mat
+    if name == "C2xC2" and m % 2 == 0 and data.draw(st.booleans(), label="sign"):
+        mat = mat + klein_sign_cocycle(H).lift(m).mat
+    base = TwistedGroupAlgebra(H, ExpCocycle(H, m, mat))
+    if not matrix:
+        return base
+    theta = data.draw(st.tuples(st.integers(0, G.order - 1),
+                                st.integers(0, G.order - 1)), label="theta")
+    return GradedMatrixAlgebra(base, theta)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_space_matches_the_whole_evaluation_matrix(data):
+    name = data.draw(st.sampled_from(GROUPS), label="group")
+    algebra = _draw_algebra(data, name, data.draw(st.booleans(), label="M_2"))
+    n = data.draw(st.integers(1, 3), label="n")
+    order = algebra.ambient.order
+    degs = tuple(data.draw(st.lists(st.integers(0, order - 1), min_size=n,
+                                    max_size=n), label="degs"))
+    space = identity_space(algebra, DegreeAssignment(degs))
+    perms, kernel = _full_kernel(algebra, degs)
+    assert [_vector(p, perms) for p in space.basis] == kernel
+
+
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_containment_matches_the_whole_evaluation_matrix(data):
+    name = data.draw(st.sampled_from(GROUPS), label="group")
+    A = _draw_algebra(data, name, data.draw(st.booleans(), label="A is M_2"))
+    B = _draw_algebra(data, name, data.draw(st.booleans(), label="B is M_2"))
+    twisted = not isinstance(A, GradedMatrixAlgebra) and not isinstance(B, GradedMatrixAlgebra)
+    n_max = data.draw(st.integers(1, 3 if twisted else 2), label="n_max")
+    rep = multilinear_containment(A, B, n_max)
+    field = cyclo_field(lcm(A.field.modulus, B.field.modulus))
+    A2, B2 = A.with_field(field), B.with_field(field)
+    assert not rep.skipped
+    for v in rep.verdicts:
+        da, db, sep, keys, value = _reference_verdict(A2, B2, v.degs)
+        assert (v.dim_source, v.dim_target) == (da, db)
+        assert v.contained == (sep is None)
+        if sep is not None:
+            perms = sorted(itertools.permutations(range(1, len(v.degs) + 1)))
+            assert _vector(v.separating, perms) == sep
+            assert v.witness_substitution == keys
+            assert v.witness_value == value
+
+
+def test_exact_finish_repairs_a_starved_pivot_search(monkeypatch, klein, sign_cocycle):
+    """Rows independent modulo p are independent over Q(zeta), but a prime
+    can lose rank.  Keeping only the first modular pivot row has that effect
+    at its worst; the exact check must then bring every missing row back,
+    leaving spaces and reports unchanged."""
+    H = klein.full_subgroup()
+    signed = TwistedGroupAlgebra(H, sign_cocycle)
+    m2 = GradedMatrixAlgebra(TwistedGroupAlgebra(H, trivial_cocycle(H, 2)), (0, 1))
+    m2_signed = GradedMatrixAlgebra(signed, (0, 1))
+    assignments = [DegreeAssignment(d) for d in ((1, 1, 0), (0, 2, 1), (3, 3, 0, 1))]
+
+    def outputs():
+        spaces = [identity_space(A, a).basis for A in (m2, m2_signed) for a in assignments]
+        reports = [jsonio.containment_to_json(multilinear_containment(A, B, 3))
+                   for A, B in ((signed, m2), (m2, signed), (m2_signed, m2))]
+        return spaces, reports
+
+    calls = []
+    real_rref = fieldlin.rref
+    monkeypatch.setattr(fieldlin, "rref", lambda rows, F: calls.append(1) or real_rref(rows, F))
+    expected = outputs()
+    exact_calls = len(calls)
+    real_pivots = identities._pivot_rows
+    monkeypatch.setattr(identities, "_pivot_rows", lambda E, m: real_pivots(E, m)[:1])
+    calls.clear()
+    assert outputs() == expected
+    assert len(calls) > exact_calls  # the minor was repaired
+
+
+def test_not_killed_is_exact_past_int64():
+    """Kernel coefficients too large for the int64 bound switch the check
+    to Python ints; the answer must not change."""
+    F = cyclo_field(4)
+    # the vector (zeta a, a) kills row (e0, e1) exactly when zeta^(e0+1) = -zeta^e1
+    E = np.array([[0, 0], [0, 3], [1, 0], [0, -1]])
+    for a in (Fraction(1), Fraction(5**30, 3**40)):
+        v = [F.from_fraction(a) * F.root(1), F.from_fraction(a)]
+        assert identities._not_killed(E, [v], F).tolist() == [True, False, False, True]
