@@ -7,13 +7,22 @@ over Z/M_w at the working modulus M_w = M*exp(H): if sigma/rho is a
 coboundary of some f valued in the field, then f^M is a homomorphism, hence
 valued in exp(H)-th roots of unity, so f itself can be taken in mu_{M_w}.
 
-H^2(G, F*) is computed by solving the cocycle identity over Z/M (M = |G|),
-rescaling into Z/(M*exp(G)) where coboundary identification happens, and
-extracting the quotient structure by diagonalization; representatives are
-made deterministic by canonical reduction against the identified subgroup.
+The linear systems live in edge coordinates (see _Frame): a normalized
+cocycle on a group of order n is fixed by its n-1 values at each generator
+of a generating set X, so the unknowns number (n-1)*|X|, and the cocycle
+space is cut out by one row per Schreier relator of the Cayley graph and
+non-identity base point. Full tables are built only for output.
+
+H^2(G, F*) is computed from the kernel of the relator rows over Z/M
+(M = |G|), rescaled into Z/(M*exp(G)) where coboundaries are identified,
+and the quotient structure is extracted by diagonalization; representatives
+are made deterministic by canonical reduction against the identified
+subgroup. Equivalence, class order and extension solve for a coboundary in
+the edge coordinates of the cocycle's own domain.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import lcm
 
@@ -28,11 +37,14 @@ from .errors import (
     VerificationFailed,
 )
 from .groups import FiniteGroup, Subgroup, conjugate_subgroup
-from .modlin import ModularSolver, RowReducer, howell_reduce, kernel_mod, snf_mod
+from .modlin import _BLOCK_ROWS, ModularSolver, RowReducer, howell_reduce, kernel_mod, snf_mod
 
 
 class ExpCocycle:
-    """A 2-cocycle on H in exponent form modulo its modulus."""
+    """A 2-cocycle on H in exponent form modulo its modulus.
+
+    The table is read-only, so is_cocycle checks it once per object.
+    """
 
     def __init__(self, domain: Subgroup, modulus, mat):
         self.domain = domain
@@ -42,7 +54,9 @@ class ExpCocycle:
         if mat.shape != (k, k):
             raise LengthMismatch(
                 f"cocycle matrix shape {mat.shape} does not match |H| = {k}")
+        mat.setflags(write=False)
         self.mat = mat
+        self._valid = None
 
     def entry(self, x, y):
         """Exponent r(x, y) for ambient element ids x, y."""
@@ -131,6 +145,13 @@ def _pos_mul(H: Subgroup):
 
 
 def is_cocycle(sig: ExpCocycle) -> bool:
+    if sig._valid is None:
+        sig._valid = _satisfies_identity(sig)
+    return sig._valid
+
+
+def _satisfies_identity(sig: ExpCocycle) -> bool:
+    """The 2-cocycle identity at every triple, O(|H|^3)."""
     H = sig.domain
     k = H.order
     mul = _pos_mul(H)
@@ -191,30 +212,147 @@ def conjugate_class(sig: ExpCocycle, xi) -> ExpCocycle:
 
 
 # ---------------------------------------------------------------------------
-# linear systems
-
-def _pair_coords(k):
-    # flattened index order of normalized coordinate pairs (a, b), a, b != e
-    return (k - 1) ** 2
+# edge coordinates
 
 
-def _coboundary_matrix(H: Subgroup):
-    """Matrix of f |-> delta f on normalized coordinates, f supported off e."""
-    key = ("cobmat", H.members)
+def _bfs(table, gens):
+    """Breadth-first tree of the right Cayley graph of gens from e: the visit
+    order and, per reached h, its parent q and letter i with h = q * gens[i]."""
+    n = len(table)
+    parent = [-1] * n
+    letter = [-1] * n
+    order = [0]
+    parent[0] = 0
+    for q in order:
+        row = table[q]
+        for i, x in enumerate(gens):
+            h = row[x]
+            if parent[h] < 0:
+                parent[h], letter[h] = q, i
+                order.append(h)
+    return order, parent, letter
+
+
+def _generators(table):
+    """Greedy generating set, ascending: each step takes the element whose
+    closure with the elements taken so far is largest, the lowest id on ties."""
+    n = len(table)
+    gens, span = [], [0]
+    while len(span) < n:
+        inside = set(span)
+        best = None
+        for g in range(1, n):
+            if g not in inside:
+                reach = _bfs(table, gens + [g])[0]
+                if best is None or len(reach) > len(best[1]):
+                    best = (g, reach)
+        gens.append(best[0])
+        span = best[1]
+    return sorted(gens)
+
+
+class _Frame:
+    """Edge coordinates of normalized cocycles on one group table (ids are
+    positions, e = 0).
+
+    X is _generators(table) and T the breadth-first tree of the right Cayley
+    graph from e, letters in id order. A normalized cocycle is fixed by its
+    edge values s(g, x) = sigma(g, x), g != e, x = X[i], at coordinate
+    (g - 1)*|X| + i: if hol_g(w) sums s along the path of the word w from g
+    (s(e, .) = 0) and w_h is the tree word of h, associativity gives
+    sigma(g, h) = hol_g(w_h) - hol_e(w_h). An edge function comes from a
+    cocycle exactly when each Schreier relator, one loop per edge outside T,
+    has the same holonomy at every base point: the relators generate the
+    kernel of F(X) -> G, the loops of the Cayley graph (Schreier's lemma).
+    """
+
+    def __init__(self, mul):
+        self.mul = mul
+        table = mul.tolist()
+        n = len(table)
+        self.gens = np.array(_generators(table), dtype=np.int64)
+        nx = self.gens.size
+        self.width = (n - 1) * nx
+        order, parent, letter = _bfs(table, self.gens.tolist())
+        # tree nodes by depth, so that expansion is one step per level
+        depth = [0] * n
+        levels = []
+        for h in order[1:]:
+            depth[h] = depth[parent[h]] + 1
+            if depth[h] > len(levels):
+                levels.append([])
+            levels[-1].append((h, parent[h], letter[h]))
+        # per level, the rows (nodes h, parents q, letters i)
+        self.levels = [np.array(lev, dtype=np.int64).T for lev in levels]
+        # f |-> delta f with f(e) = 0: the edge (g, x) gets f(g) + f(x) - f(gx)
+        g = np.repeat(np.arange(1, n), nx)
+        x = np.tile(self.gens, n - 1)
+        D = np.zeros((g.size, n), dtype=np.int64)
+        r = np.arange(g.size)
+        np.add.at(D, (r, g), 1)
+        np.add.at(D, (r, x), 1)
+        np.add.at(D, (r, mul[g, x]), -1)
+        self.coboundary = D[:, 1:]
+
+    def edges(self, mat):
+        """Edge coordinates of a full normalized table."""
+        return mat[1:, self.gens].ravel()
+
+    def expand(self, vecs, modulus):
+        """Full tables, shape (rows, n, n), of rows of edge coordinates."""
+        vecs = np.atleast_2d(np.asarray(vecs, dtype=np.int64))
+        r, n, nx = vecs.shape[0], self.mul.shape[0], self.gens.size
+        s = np.zeros((r, n, nx), dtype=np.int64)
+        s[:, 1:] = vecs.reshape(r, n - 1, nx)
+        hol = np.zeros((r, n, n), dtype=np.int64)
+        for hs, qs, ls in self.levels:
+            hol[:, :, hs] = hol[:, :, qs] + s[:, self.mul[:, qs], ls]
+        return (hol - hol[:, :1, :]) % modulus
+
+    def relator_blocks(self):
+        """The relator rows, at most _BLOCK_ROWS at a time: for the loop of
+        each edge (q, x) outside T and each base g != e, its holonomy at g
+        minus its holonomy at e."""
+        n, nx = self.mul.shape[0], self.gens.size
+        # the tree word of h as its steps (prefix, letter)
+        paths = {0: ()}
+        for hs, qs, ls in self.levels:
+            for h, q, i in zip(hs.tolist(), qs.tolist(), ls.tolist()):
+                paths[h] = paths[q] + ((q, i),)
+        loops = []
+        for q in range(n):
+            for i, x in enumerate(self.gens.tolist()):
+                h = int(self.mul[q, x])
+                if paths[h][-1:] == ((q, i),):
+                    continue
+                up, down = paths[q], paths[h]
+                k = 0
+                while k < min(len(up), len(down)) and up[k] == down[k]:
+                    k += 1
+                loops.append([(1, p, j) for p, j in up[k:]] + [(1, q, i)]
+                             + [(-1, p, j) for p, j in down[k:]])
+        if not loops:
+            return
+        steps = np.zeros((len(loops), max(map(len, loops)), 3), dtype=np.int64)
+        for r, loop in enumerate(loops):
+            steps[r, :len(loop)] = loop
+        rel = np.repeat(np.arange(len(loops)), n - 1)
+        base = np.tile(np.arange(1, n), len(loops))
+        for lo in range(0, rel.size, _BLOCK_ROWS):
+            sgn, pre, let = np.moveaxis(steps[rel[lo:lo + _BLOCK_ROWS]], 2, 0)
+            g = base[lo:lo + _BLOCK_ROWS, None]
+            rows = np.zeros((g.shape[0], n * nx), dtype=np.int64)
+            b = np.arange(g.shape[0])[:, None]
+            np.add.at(rows, (b, self.mul[g, pre] * nx + let), sgn)
+            np.add.at(rows, (b, pre * nx + let), -sgn)
+            yield rows[:, nx:]
+
+
+def _frame(H: Subgroup) -> _Frame:
+    key = ("frame", H.members)
     cache = H.parent._cache
     if key not in cache:
-        k = H.order
-        mul = _pos_mul(H)
-        D = np.zeros(((k - 1) ** 2, k - 1), dtype=np.int64)
-        for a in range(1, k):
-            for b in range(1, k):
-                row = (a - 1) * (k - 1) + (b - 1)
-                D[row, a - 1] += 1
-                D[row, b - 1] += 1
-                ab = mul[a, b]
-                if ab:
-                    D[row, ab - 1] -= 1
-        cache[key] = D
+        cache[key] = _Frame(_pos_mul(H))
     return cache[key]
 
 
@@ -222,61 +360,25 @@ def _cob_solver(H: Subgroup, m_w) -> ModularSolver:
     key = ("cobsolver", H.members, m_w)
     cache = H.parent._cache
     if key not in cache:
-        cache[key] = ModularSolver(_coboundary_matrix(H), m_w)
+        cache[key] = ModularSolver(_frame(H).coboundary, m_w)
     return cache[key]
 
 
 def cocycle_kernel(G: FiniteGroup, modulus):
-    """Howell basis of the normalized cocycle space of G over Z/modulus."""
+    """Howell basis of the normalized cocycle space of G over Z/modulus, in
+    the edge coordinates of G's frame."""
     key = ("cockernel", modulus)
     if key in G._cache:
         return G._cache[key]
-    m = (G.order - 1) ** 2
-    # a separate call, so the identities' reducer is freed before the kernel step
-    basis = _cocycle_identities(G, modulus)
-    kern = kernel_mod(basis, modulus) if basis.shape[0] else np.eye(m, dtype=np.int64)
+    fr = _frame(G.full_subgroup())
+    red = RowReducer(modulus, fr.width)
+    for rows in fr.relator_blocks():
+        red.add_matrix(rows % modulus)
+    basis = red.basis()
+    kern = kernel_mod(basis, modulus) if basis.shape[0] else np.eye(fr.width, dtype=np.int64)
     kern = howell_reduce(kern, modulus).basis() if kern.shape[0] else kern
     G._cache[key] = kern
     return kern
-
-
-def _cocycle_identities(G: FiniteGroup, modulus):
-    """Howell basis of the cocycle identities of G over Z/modulus, one per
-    triple (x, y, z) of non-identity elements, in normalized coordinates."""
-    n = G.order
-    m = (n - 1) ** 2
-    mul = np.asarray(G.mul_table, dtype=np.int64)
-    red = RowReducer(modulus, m)
-    nz = np.arange(1, n, dtype=np.int64)
-    Y, Z = np.meshgrid(nz, nz, indexing="ij")
-    Y, Z = Y.ravel(), Z.ravel()
-    ridx = np.arange(Y.size)
-
-    def coord(a, b):
-        return (a - 1) * (n - 1) + (b - 1)
-
-    yz = mul[Y, Z]
-    mask_yz = yz != 0
-    for x in range(1, n):
-        rows = np.zeros((Y.size, m), dtype=np.int64)
-        np.add.at(rows, (ridx, coord(np.full_like(Y, x), Y)), 1)
-        xy = mul[x, Y]
-        mask = xy != 0
-        np.add.at(rows, (ridx[mask], coord(xy[mask], Z[mask])), 1)
-        np.add.at(rows, (ridx, coord(Y, Z)), -1)
-        np.add.at(rows, (ridx[mask_yz], coord(np.full(mask_yz.sum(), x), yz[mask_yz])), -1)
-        red.add_matrix(rows % modulus)
-    return red.basis()
-
-
-def _mat_to_coords(mat):
-    return mat[1:, 1:].ravel()
-
-
-def _coords_to_mat(vec, k):
-    mat = np.zeros((k, k), dtype=np.int64)
-    mat[1:, 1:] = vec.reshape(k - 1, k - 1)
-    return mat
 
 
 def classes_equivalent(sig: ExpCocycle, rho: ExpCocycle, working_modulus=None):
@@ -285,7 +387,8 @@ def classes_equivalent(sig: ExpCocycle, rho: ExpCocycle, working_modulus=None):
 
     Moduli are harmonized to their lcm before lifting; the default working
     modulus lcm * exp(H) decides equivalence over any algebraically closed
-    field of characteristic zero.
+    field of characteristic zero. Both cocycles are normalized, hence fixed
+    by their edge values, so the system is solved in edge coordinates.
     """
     if sig.domain != rho.domain:
         raise DomainMismatch("cocycles live on different subgroups")
@@ -300,7 +403,8 @@ def classes_equivalent(sig: ExpCocycle, rho: ExpCocycle, working_modulus=None):
     rn, f2 = normalize(rho)
     if H.order == 1:
         return ExpFunction(H, m_w, np.zeros(1, dtype=np.int64))
-    target = (e1 * _mat_to_coords(sn.mat) - e2 * _mat_to_coords(rn.mat)) % m_w
+    fr = _frame(H)
+    target = (e1 * fr.edges(sn.mat) - e2 * fr.edges(rn.mat)) % m_w
     F = _cob_solver(H, m_w).solve(target)
     if F is None:
         return None
@@ -318,7 +422,7 @@ def class_order(sig: ExpCocycle):
         return 1
     m_w = sig.modulus * H.exponent
     e1 = m_w // sig.modulus
-    base = _mat_to_coords(sn.mat)
+    base = _frame(H).edges(sn.mat)
     solver = _cob_solver(H, m_w)
     for k in range(1, H.order + 1):
         if solver.solve((k * e1 * base) % m_w) is not None:
@@ -329,15 +433,16 @@ def class_order(sig: ExpCocycle):
 
 
 def _extend_solver(G: FiniteGroup, H: Subgroup, m_w) -> ModularSolver:
+    """Solver of S c - D f = edge_H(sigma): S holds G's kernel rows expanded at
+    H's edges, D is H's edge coboundary matrix."""
     key = ("extsolver", H.members, m_w)
     if key not in G._cache:
         K = cocycle_kernel(G, m_w)
-        n = G.order
-        mem = np.array(H.members[1:], dtype=np.int64)
-        cols = ((mem[:, None] - 1) * (n - 1) + (mem[None, :] - 1)).ravel()
-        S = K[:, cols].T
-        D = _coboundary_matrix(H)
-        A = np.concatenate([S, (-D) % m_w], axis=1)
+        fr = _frame(H)
+        mem = np.array(H.members, dtype=np.int64)
+        tables = _frame(G.full_subgroup()).expand(K, m_w)
+        S = tables[:, mem[1:, None], mem[fr.gens][None, :]].reshape(K.shape[0], fr.width)
+        A = np.concatenate([S.T, (-fr.coboundary) % m_w], axis=1)
         G._cache[key] = ModularSolver(A, m_w)
     return G._cache[key]
 
@@ -345,13 +450,13 @@ def _extend_solver(G: FiniteGroup, H: Subgroup, m_w) -> ModularSolver:
 def extend_class(sig: ExpCocycle, G: FiniteGroup):
     """A cocycle on all of G whose restriction to H is equivalent to sig.
 
-    Solved as one linear system at modulus M*exp(G): unknown coefficients
-    over the cocycle space of G plus an unknown coboundary on H. Returns
-    None when no class of G restricts to the class of sig. That happens
-    even for H central: the sign class on the Klein four subgroup
-    {0, 2, 4, 6} of C2 x C4 does not extend. Its alternating form is -1 on
-    a pair (u, w^2) with w in G, while the form of a restricted class gives
-    beta(u, w^2) = beta(u, w)^2 = 1.
+    Solved as one linear system at modulus M*exp(G) in H's edge
+    coordinates: unknown coefficients over the cocycle space of G plus an
+    unknown coboundary on H. Returns None when no class of G restricts to
+    the class of sig. That happens even for H central: the sign class on the
+    Klein four subgroup {0, 2, 4, 6} of C2 x C4 does not extend. Its
+    alternating form is -1 on a pair (u, w^2) with w in G, while the form of
+    a restricted class gives beta(u, w^2) = beta(u, w)^2 = 1.
     """
     H = sig.domain
     if H.parent is not G:
@@ -363,14 +468,13 @@ def extend_class(sig: ExpCocycle, G: FiniteGroup):
         return trivial_cocycle(full, m_w)
     e1 = m_w // sig.modulus
     solver = _extend_solver(G, H, m_w)
-    rhs = (e1 * _mat_to_coords(sn.mat)) % m_w
-    sol = solver.solve(rhs)
+    sol = solver.solve((e1 * _frame(H).edges(sn.mat)) % m_w)
     if sol is None:
         return None
     # the first unknowns are the coefficients over the cocycle kernel rows
     K = cocycle_kernel(G, m_w)
     vec = (sol[: K.shape[0]] @ K) % m_w
-    return ExpCocycle(full, m_w, _coords_to_mat(vec, G.order))
+    return ExpCocycle(full, m_w, _frame(full).expand(vec, m_w)[0])
 
 
 def h2_over_Fstar(G: FiniteGroup, order_cap=None) -> H2Description:
@@ -393,11 +497,11 @@ def h2_over_Fstar(G: FiniteGroup, order_cap=None) -> H2Description:
         desc = H2Description(G, 1, 1, (), (), 1)
         G._cache["h2desc"] = desc
         return desc
+    fr = _frame(full)
     KM = cocycle_kernel(G, M)
     GE = (e * KM) % N
     k = GE.shape[0]
-    B = _coboundary_matrix(full).T % N
-    sysmat = np.concatenate([GE.T, (-B.T) % N], axis=1)
+    sysmat = np.concatenate([GE.T, (-fr.coboundary) % N], axis=1)
     rel = kernel_mod(sysmat, N)[:, :k]
     rel_basis = howell_reduce(rel, N).basis() if rel.shape[0] else rel
     if rel_basis.shape[0] == 0:
@@ -418,7 +522,7 @@ def h2_over_Fstar(G: FiniteGroup, order_cap=None) -> H2Description:
         vec = eb.reduce_vector(vec)
         if (vec % e).any():
             raise VerificationFailed(f"H^2 representative is not divisible by exp(G) = {e}")
-        reps.append(ExpCocycle(full, M, _coords_to_mat(vec // e, n)))
+        reps.append(ExpCocycle(full, M, fr.expand(vec // e, M)[0]))
     desc = H2Description(
         G, M, N, tuple(factors), tuple(reps), order)
     G._cache["h2desc"] = desc
@@ -441,7 +545,6 @@ def all_classes(H: Subgroup):
     reps = subgroup_class_representatives(H)
     out = []
     seen = set()
-    import itertools
     ranges = [range(d) for d in desc.invariant_factors]
     for combo in itertools.product(*ranges):
         mat = np.zeros((H.order, H.order), dtype=np.int64)
