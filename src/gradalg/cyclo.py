@@ -197,6 +197,11 @@ class CycloNumber:
             return q if (k == 0 or not q) else None
         return None
 
+    def as_monomial(self):
+        """(q, k) with the element equal to q * zeta_M^k, or None when it is
+        no rational multiple of a root of unity."""
+        return self._mono
+
     def __add__(self, other):
         other = self._check(other)
         if other is None:

@@ -8,7 +8,10 @@ produce a silently wrong yes.  No answers carry structured reasons.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import lcm
+
+import numpy as np
 
 from . import fieldlin
 from .cocycles import ExpCocycle, classes_equivalent, conjugate_class, extend_class, restrict
@@ -31,6 +34,7 @@ from .matalg import (
     _lexmin_matching,
     regrade_iso,
 )
+from .modlin import _BLOCK_ROWS
 from .twisted import TwistedGroupAlgebra
 
 
@@ -120,33 +124,116 @@ def _align_ambient(A, B):
 def verify_graded_monomorphism(gmap, A, B):
     """Check that gmap is an injective graded algebra map from A to B.
 
-    Degree preservation reads B's stored degree data, multiplicativity is
-    checked on every basis pair, injectivity by rank (with a fast path for
-    monomial maps).  Returns a bool and never raises on a bad map.
+    Degree preservation reads B's stored degree data.  When every basis
+    image is one term c*e_t with c a rational multiple of a root of unity
+    (as in every witness the engine builds, compositions included),
+    multiplicativity is checked on every basis pair in exponent form
+    against both algebras' structure-constant grids, and injectivity means
+    distinct targets.  A map with an image of two or more terms, or with a
+    coefficient that is no such multiple, takes the general check instead:
+    GradedElement products on every basis pair and injectivity by rank.
+    Returns a bool and never raises on a bad map.
     """
     if gmap.source != A or gmap.target != B:
         return False
     if A.field.modulus != B.field.modulus:
         return False
-    keys = list(A.basis_keys())
+    keys = A.basis_keys()
+    bpos = {bk: i for i, bk in enumerate(B.basis_keys())}
     imgs = {}
     for key in keys:
         try:
-            imgs[key] = gmap.image(key)
+            img = gmap.image(key)
         except KeyError:
             return False
-    for key in keys:
-        img = imgs[key]
-        if img.is_zero():
+        if img.is_zero() or any(bk not in bpos for bk in img.terms):
             return False
         degs = img.degrees()
         if len(degs) != 1 or next(iter(degs)) != A.degree_of_key(key):
             return False
-    for k1 in keys:
-        im1 = imgs[k1]
-        for k2 in keys:
+        imgs[key] = img
+    mono = _monomial_form(imgs, bpos, A.field.modulus)
+    if mono is not None:
+        targets = mono[0]
+        return (len(set(targets.tolist())) == targets.size
+                and _exp_products_agree(A, B, *mono))
+    rows = []
+    for img in imgs.values():
+        row = [B.field.zero()] * len(bpos)
+        for bk, c in img.terms.items():
+            row[bpos[bk]] = c
+        rows.append(row)
+    return fieldlin.rank(rows, B.field) == len(rows) and _products_agree(A, imgs)
+
+
+def _monomial_form(imgs, bpos, M):
+    """Images that are all one term |q| zeta_2M^s e_t, as (targets, s, mags,
+    mag_of): B positions t, exponents s, the distinct magnitudes |q| and
+    each image's index among them, a magnitude as (numerator, denominator).
+    None when some image is not of that form.
+
+    c = q zeta_M^k is |q| zeta_2M^(2k + M [q < 0]); the form is unique,
+    because a positive rational that is a root of unity is 1."""
+    targets, s, mag_of, mags = [], [], [], {}
+    for img in imgs.values():
+        if len(img.terms) != 1:
+            return None
+        (bk, c), = img.terms.items()
+        mono = c.as_monomial()
+        if mono is None:
+            return None
+        q, k = mono
+        targets.append(bpos[bk])
+        s.append(2 * k + (M if q.numerator < 0 else 0))
+        mag_of.append(mags.setdefault((abs(q.numerator), q.denominator), len(mags)))
+    return np.array(targets), np.array(s), list(mags), np.array(mag_of)
+
+
+def _exp_products_agree(A, B, targets, s, mags, mag_of):
+    """Multiplicativity of the monomial map e_a -> |q_a| zeta_2M^s_a e_t(a)
+    on every pair of A's basis positions, _BLOCK_ROWS source rows at a time.
+
+    Where A has e_a e_b = zeta_M^e e_out and B has e_t(a) e_t(b) =
+    zeta_M^f e_u, the map respects the product exactly when u = t(out),
+    s_a + s_b + 2f = s_out + 2e (mod 2M) and |q_a| |q_b| = |q_out|; where
+    one side is zero the other must be too."""
+    two_m = 2 * A.field.modulus
+    index = {m: n for n, m in enumerate(mags)}
+    n = targets.size
+    for lo in range(0, n, _BLOCK_ROWS):
+        rows = np.arange(lo, min(lo + _BLOCK_ROWS, n))
+        exp_a, out = A.multiply_rows_exp(rows)
+        exp_b, hit = B.multiply_rows_exp(targets[rows])
+        exp_b, hit = exp_b[:, targets], hit[:, targets]
+        zero = out < 0
+        if not np.array_equal(zero, hit < 0):
+            return False
+        r, c = np.nonzero(~zero)
+        o = out[r, c]
+        if not np.array_equal(hit[r, c], targets[o]):
+            return False
+        a = rows[r]
+        if ((s[a] + s[c] + 2 * exp_b[r, c] - s[o] - 2 * exp_a[r, c]) % two_m).any():
+            return False
+        row_mags = sorted(set(mag_of[rows].tolist()))
+        table = np.array([[index.get(_times(mags[x], m), -1) for m in mags] for x in row_mags])
+        if not np.array_equal(table[np.searchsorted(row_mags, mag_of[a]), mag_of[c]], mag_of[o]):
+            return False
+    return True
+
+
+def _times(x, y):
+    """Product of two magnitudes in lowest terms."""
+    p = Fraction(x[0] * y[0], x[1] * y[1])
+    return p.numerator, p.denominator
+
+
+def _products_agree(A, imgs):
+    """Multiplicativity by GradedElement products on every basis pair."""
+    for k1, im1 in imgs.items():
+        for k2, im2 in imgs.items():
             hit = A.multiply_basis(k1, k2)
-            lhs = im1 * imgs[k2]
+            lhs = im1 * im2
             if hit is None:
                 if not lhs.is_zero():
                     return False
@@ -154,19 +241,7 @@ def verify_graded_monomorphism(gmap, A, B):
                 coef, out = hit
                 if lhs != imgs[out].scaled(coef):
                     return False
-    if all(len(imgs[k].terms) == 1 for k in keys):
-        targets = [next(iter(imgs[k].terms)) for k in keys]
-        if len(set(targets)) == len(keys):
-            return True
-    bkeys = list(B.basis_keys())
-    pos = {bk: i for i, bk in enumerate(bkeys)}
-    rows = []
-    for key in keys:
-        row = [B.field.zero()] * len(bkeys)
-        for bk, c in imgs[key].terms.items():
-            row[pos[bk]] = c
-        rows.append(row)
-    return fieldlin.rank(rows, B.field) == len(keys)
+    return True
 
 
 def verify_graded_isomorphism(gmap, A, B):

@@ -2,7 +2,8 @@
 
 An algebra object supplies: field, ambient, dim, basis_keys(),
 degree_of_key(key), multiply_basis_exp(k1, k2) -> (e, key) | None for the
-structure constant zeta_M^e, multiply_basis(k1, k2) -> (coef, key) | None
+structure constant zeta_M^e, multiply_rows_exp(rows) -> the same constants as
+arrays over basis positions, multiply_basis(k1, k2) -> (coef, key) | None
 (from MonomialAlgebra), and one().  Twisted group algebras key their basis
 by group element id, matrix algebras by (row, col, group element) triples;
 everything in this module is generic over the key type.

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .cocycles import conjugate_class
 from .errors import (
     DomainMismatch,
@@ -112,6 +114,24 @@ class GradedMatrixAlgebra(MonomialAlgebra):
             return None
         e, prod = self.base.multiply_basis_exp(key1.zeta, key2.zeta)
         return e, MatBasisElt(key1.i, key2.j, prod)
+
+    def multiply_rows_exp(self, rows):
+        """multiply_basis_exp for the basis positions in rows against every
+        basis position, as two (len(rows), dim) arrays: exponents and product
+        positions in basis_keys() order, position -1 for a zero product.
+        Row (i, j, z) meets only the keys (j, l, y), in the base grid's row
+        of z."""
+        k, h = self.k, self.subgroup.order
+        rows = np.asarray(rows, dtype=np.int64)
+        i, rest = np.divmod(rows, k * h)
+        j, z = np.divmod(rest, h)
+        base_exp, base_prod = self.base.multiply_rows_exp(z)
+        at = np.arange(rows.size)
+        exp = np.zeros((rows.size, k, k, h), dtype=np.int64)
+        prod = np.full((rows.size, k, k, h), -1, dtype=np.int64)
+        exp[at, j] = base_exp[:, None, :]
+        prod[at, j] = (i[:, None, None] * k + np.arange(k)[None, :, None]) * h + base_prod[:, None, :]
+        return exp.reshape(rows.size, -1), prod.reshape(rows.size, -1)
 
     # -- element constructors ---------------------------------------------
 
@@ -313,14 +333,14 @@ def regrade_iso(algebra, witness):
     G = algebra.ambient
     sigma = algebra.sigma
     field = algebra.field
-    sv = algebra.base.sigma_value
+    step = field.modulus // sigma.modulus
+    r = sigma.entry
     delta = witness.delta
     rho = conjugate_class(sigma, delta)
     target = GradedMatrixAlgebra(
         TwistedGroupAlgebra(algebra.subgroup, rho, field),
         witness.target_tuple(algebra))
     inv_alpha = {witness.alpha[j]: j + 1 for j in range(algebra.k)}
-    norm = (sv(0, 0)).inv()
     assign = {}
     for key in algebra.basis_keys():
         a = inv_alpha[key.i]
@@ -329,6 +349,7 @@ def regrade_iso(algebra, witness):
         xb = witness.xis[b - 1]
         xb_inv = G.inv(xb)
         left = G.mul(xa, key.zeta)
-        coef = sv(xa, key.zeta) * sv(left, xb_inv) * (sv(xb, xb_inv)).inv() * norm
+        coef = field.root(
+            (r(xa, key.zeta) + r(left, xb_inv) - r(xb, xb_inv) - r(0, 0)) * step)
         assign[key] = (coef, MatBasisElt(a, b, G.conj(G.mul(left, xb_inv), delta)))
     return target, GradedMap.monomial(algebra, target, assign)

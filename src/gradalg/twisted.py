@@ -9,6 +9,8 @@ inside an explicit cyclotomic field.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .cocycles import is_cocycle, trivial_cocycle
 from .cyclo import cyclo_field
 from .errors import (
@@ -66,6 +68,17 @@ class TwistedGroupAlgebra(MonomialAlgebra):
     def multiply_basis_exp(self, x, y):
         """eta_x eta_y = zeta_M^e eta_xy as (e, xy), M the field's root order."""
         return self.sigma.entry(x, y) * self._step, self.ambient.mul(x, y)
+
+    def multiply_rows_exp(self, rows):
+        """multiply_basis_exp for the basis positions in rows against every
+        basis position, as two (len(rows), dim) arrays: exponents and product
+        positions, all in basis_keys() order."""
+        G = self.ambient
+        members = np.asarray(self.subgroup.members)
+        where = np.full(G.order, -1, dtype=np.int64)
+        where[members] = np.arange(members.size)
+        prod = np.array([G.mul_table[m] for m in members[rows]], dtype=np.int64)
+        return self.sigma.mat[rows] * self._step, where[prod[:, members]]
 
     # -- element constructors ---------------------------------------------
 

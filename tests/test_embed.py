@@ -1,9 +1,24 @@
 """Embedding and isomorphism decisions, product assignments, and towers."""
-import pytest
+import functools
+from fractions import Fraction
+from math import lcm
 
-from gradalg import embed
-from gradalg.catalog import klein_sign_cocycle
-from gradalg.cocycles import all_classes, trivial_cocycle
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gradalg import embed, fieldlin
+from gradalg.catalog import catalog_group, klein_sign_cocycle
+from gradalg.cocycles import (
+    ExpCocycle,
+    ExpFunction,
+    all_classes,
+    coboundary_from,
+    restrict,
+    trivial_cocycle,
+)
+from gradalg.cyclo import cyclo_field
 from gradalg.embed import (
     as_matrix_algebra,
     build_tower,
@@ -27,8 +42,8 @@ from gradalg.errors import (
     VerificationFailed,
 )
 from gradalg.graded import GradedMap
-from gradalg.groups import Subgroup, cyclic, enumerate_subgroups, product
-from gradalg.matalg import GradedMatrixAlgebra, LambdaWitness, regrade_iso
+from gradalg.groups import Subgroup, cyclic, enumerate_subgroups, normalizer, product
+from gradalg.matalg import GradedMatrixAlgebra, LambdaWitness, MatBasisElt, regrade_iso
 from gradalg.twisted import TwistedGroupAlgebra
 
 
@@ -336,3 +351,292 @@ def test_unverified_witness_is_an_internal_error(klein, sign_cocycle, monkeypatc
         twisted_iso(big, big)
     with pytest.raises(VerificationFailed):
         matrix_embed(as_matrix_algebra(small), as_matrix_algebra(big))
+
+
+# -- the exponent-form check against the GradedElement products ----------------
+
+GRID_GROUPS = ("C2xC2", "C4", "Q8", "S3", "D4")
+
+
+@functools.cache
+def _catalog_data(name):
+    """(subgroups, classes per subgroup, normalizer per subgroup) of a group."""
+    G = catalog_group(name)
+    subs = enumerate_subgroups(G)
+    return (subs, {H.members: all_classes(H) for H in subs},
+            {H.members: normalizer(G, H) for H in subs})
+
+
+def _catalog_algebras(name):
+    """Every twisted group algebra of the group, each also as M_2 and M_3
+    with a degree tuple from the normalizer."""
+    subs, classes, norms = _catalog_data(name)
+    for H in subs:
+        N = norms[H.members]
+        for n, sig in enumerate(classes[H.members]):
+            base = TwistedGroupAlgebra(H, sig)
+            yield base
+            for k in (2, 3):
+                yield GradedMatrixAlgebra(
+                    base, tuple(N.members[(n + 3 * i) % N.order] for i in range(k)))
+
+
+@pytest.mark.parametrize("name", GRID_GROUPS)
+def test_grid_rows_are_multiply_basis_exp(name):
+    """The two statements of the structure constants agree on every pair,
+    for rows taken in any order."""
+    for A in _catalog_algebras(name):
+        keys = list(A.basis_keys())
+        pos = {key: i for i, key in enumerate(keys)}
+        rows = np.arange(len(keys))[::-1]
+        exps, prods = A.multiply_rows_exp(rows)
+        assert exps.shape == prods.shape == (len(keys), len(keys))
+        for r, a in enumerate(rows):
+            for b, key in enumerate(keys):
+                hit = A.multiply_basis_exp(keys[a], key)
+                if hit is None:
+                    assert prods[r, b] == -1
+                else:
+                    assert (exps[r, b], prods[r, b]) == (hit[0], pos[hit[1]])
+
+
+def _images(gmap):
+    imgs = {key: gmap.image(key) for key in gmap.source.basis_keys()}
+    return imgs, {bk: i for i, bk in enumerate(gmap.target.basis_keys())}
+
+
+def _both_product_checks(gmap):
+    """(exponent-form check, GradedElement check) of multiplicativity."""
+    A, B = gmap.source, gmap.target
+    imgs, bpos = _images(gmap)
+    mono = embed._monomial_form(imgs, bpos, A.field.modulus)
+    assert mono is not None
+    return embed._exp_products_agree(A, B, *mono), embed._products_agree(A, imgs)
+
+
+def _reference_verdict(gmap):
+    """Degrees, injectivity by rank and GradedElement products."""
+    A, B = gmap.source, gmap.target
+    imgs, _ = _images(gmap)
+    for key, img in imgs.items():
+        if {B.degree_of_key(bk) for bk in img.terms} != {A.degree_of_key(key)}:
+            return False
+    rows = [[img.coefficient(bk) for bk in B.basis_keys()] for img in imgs.values()]
+    return fieldlin.rank(rows, B.field) == len(rows) and embed._products_agree(A, imgs)
+
+
+def _draw_algebra(data, name, max_dim):
+    subs, classes, norms = _catalog_data(name)
+    H = data.draw(st.sampled_from(subs), label="support")
+    base = TwistedGroupAlgebra(H, data.draw(st.sampled_from(classes[H.members]), label="class"))
+    k = data.draw(st.sampled_from([k for k in (1, 2, 3) if k * k * H.order <= max_dim]), label="k")
+    if k == 1 and data.draw(st.booleans(), label="twisted group algebra"):
+        return base
+    N = norms[H.members]
+    return GradedMatrixAlgebra(base, tuple(
+        data.draw(st.sampled_from(N.members), label="theta") for _ in range(k)))
+
+
+def _draw_witness(data, name, A):
+    """A map the engine builds: a twisted embedding from a subgroup with a
+    cohomologous twist, or a matrix embedding into a regraded, possibly
+    larger matrix algebra."""
+    subs, _, norms = _catalog_data(name)
+    if isinstance(A, TwistedGroupAlgebra):
+        K = data.draw(st.sampled_from([K for K in subs if set(K.members) <= set(A.subgroup.members)]))
+        sig = restrict(A.sigma, K)
+        f = data.draw(st.lists(st.integers(0, 7), min_size=K.order - 1, max_size=K.order - 1))
+        shift = coboundary_from(ExpFunction(K, 8, [0] + f))
+        m = lcm(sig.modulus, 8)
+        moved = ExpCocycle(K, m, sig.lift(m).mat + shift.lift(m).mat)
+        return twisted_embed(TwistedGroupAlgebra(K, moved), A).witness.map
+    N = norms[A.subgroup.members]
+    extra = data.draw(st.integers(0, 1), label="extra slots")
+    big = GradedMatrixAlgebra(A.base, A.theta + tuple(
+        data.draw(st.sampled_from(N.members)) for _ in range(extra)))
+    alpha = data.draw(st.permutations(range(1, big.k + 1)), label="alpha")
+    lam = LambdaWitness(
+        delta=data.draw(st.sampled_from(N.members), label="delta"), alpha=tuple(alpha),
+        xis=tuple(data.draw(st.sampled_from(A.subgroup.members)) for _ in range(big.k)))
+    target, _ = regrade_iso(big, lam)
+    rep = matrix_embed(A, target) if extra else matrix_iso(A, target)
+    assert rep.verdict
+    return rep.witness.map
+
+
+MAGNITUDES = (Fraction(1), Fraction(2), Fraction(1, 3), Fraction(-5, 2))
+
+
+def _conjugated(data, gmap):
+    """gmap after conjugation of its matrix source by a rational diagonal."""
+    S = gmap.source
+    d = [data.draw(st.sampled_from(MAGNITUDES), label="diagonal") for _ in range(S.k)]
+    conj = GradedMap.monomial(S, S, {key: (S.field.from_fraction(d[key.i - 1] / d[key.j - 1]), key)
+                                     for key in S.basis_keys()})
+    return conj.then(gmap)
+
+
+def _corrupted(data, gmap):
+    """gmap with one fault: a coefficient negated, doubled or moved by a root
+    of unity, two targets swapped, a repeated target, or a target moved to
+    another column, which sends a product onto a zero."""
+    A, B = gmap.source, gmap.target
+    assign = gmap.monomial_assign()
+    keys = list(assign)
+    a = data.draw(st.sampled_from(keys), label="key")
+    b = data.draw(st.sampled_from([k for k in keys if k != a] or keys), label="other key")
+    (ca, ta), (cb, tb) = assign[a], assign[b]
+    faults = ["negate", "double", "shift", "swap", "repeat"]
+    if isinstance(B, GradedMatrixAlgebra) and B.k > 1:
+        faults.append("onto zero")
+    fault = data.draw(st.sampled_from(faults), label="fault")
+    if fault == "negate":
+        assign[a] = (-ca, ta)
+    elif fault == "double":
+        assign[a] = (ca * 2, ta)
+    elif fault == "shift":
+        M = B.field.modulus
+        assign[a] = (ca * B.field.root(data.draw(st.integers(1, max(1, M - 1)))), ta)
+    elif fault == "swap":
+        assign[a], assign[b] = (ca, tb), (cb, ta)
+    elif fault == "repeat":
+        assign[a] = (ca, tb)
+    else:
+        assign[a] = (ca, MatBasisElt(ta.i, ta.j % B.k + 1, ta.zeta))
+    return GradedMap.monomial(A, B, assign)
+
+
+def _random_monomial(data, name, A):
+    """Random targets (repeats allowed) and coefficients into an algebra over
+    the same group and field."""
+    B = _draw_algebra(data, name, max_dim=48)
+    F = cyclo_field(lcm(A.field.modulus, B.field.modulus))
+    A, B = A.with_field(F), B.with_field(F)
+    bkeys = list(B.basis_keys())
+    assign = {}
+    for key in A.basis_keys():
+        q = data.draw(st.sampled_from(MAGNITUDES), label="magnitude")
+        e = data.draw(st.integers(0, F.modulus - 1), label="exponent")
+        assign[key] = (F.root(e) * q, data.draw(st.sampled_from(bkeys), label="target"))
+    return GradedMap.monomial(A, B, assign)
+
+
+def _permuted(data, A):
+    """The untwisted group algebra of A's support with its basis permuted
+    at random and every coefficient 1: no zero products and no exponents,
+    so only the product targets can go wrong."""
+    T = TwistedGroupAlgebra(A.subgroup)
+    keys = list(T.basis_keys())
+    perm = data.draw(st.permutations(keys), label="permutation")
+    return GradedMap.monomial(T, T, {key: (T.field.one(), t) for key, t in zip(keys, perm)})
+
+
+def _collapse(A):
+    """E_ij eta_z -> eta_z from a matrix algebra onto its base: right on
+    every nonzero product, wrong on every zero one."""
+    return GradedMap.monomial(A, A.base, {key: (A.field.one(), key.zeta) for key in A.basis_keys()})
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_exponent_check_agrees_with_graded_products(data):
+    name = data.draw(st.sampled_from(GRID_GROUPS), label="group")
+    A = _draw_algebra(data, name, max_dim=36)
+    kind = data.draw(st.sampled_from(
+        ["witness", "conjugated", "corrupted", "random", "permuted", "collapse"]), label="map")
+    if kind == "random":
+        gmap = _random_monomial(data, name, A)
+    elif kind == "permuted":
+        gmap = _permuted(data, A)
+    elif kind == "collapse" and isinstance(A, GradedMatrixAlgebra):
+        gmap = _collapse(A)
+    else:
+        gmap = _draw_witness(data, name, A)
+        if kind == "conjugated" and isinstance(gmap.source, GradedMatrixAlgebra):
+            gmap = _conjugated(data, gmap)
+        elif kind == "corrupted":
+            gmap = _corrupted(data, gmap)
+    exp_check, loop_check = _both_product_checks(gmap)
+    assert exp_check == loop_check
+    assert verify_graded_monomorphism(gmap, gmap.source, gmap.target) == _reference_verdict(gmap)
+
+
+def _c2_matrix():
+    C2 = cyclic(2)
+    return GradedMatrixAlgebra(TwistedGroupAlgebra(C2.full_subgroup()), (0, 0))
+
+
+def _diagonal(A, scale):
+    """E_ij eta_z -> scale(i, j) E_ij eta_z."""
+    return GradedMap.monomial(A, A, {key: (A.field.from_fraction(scale(key.i, key.j)), key)
+                                     for key in A.basis_keys()})
+
+
+def test_diagonal_conjugation_with_rational_magnitudes():
+    """E12 -> 2 E12, E21 -> 1/2 E21 is an automorphism with |q| != 1, and
+    dropping the 1/2 breaks only the magnitudes."""
+    A = _c2_matrix()
+    d = (Fraction(1), Fraction(2))
+    good = _diagonal(A, lambda i, j: d[j - 1] / d[i - 1])
+    bad = _diagonal(A, lambda i, j: 2 if (i, j) == (1, 2) else 1)
+    assert verify_graded_isomorphism(good, A, A)
+    assert _both_product_checks(good) == (True, True)
+    assert not verify_graded_isomorphism(bad, A, A)
+    assert _both_product_checks(bad) == (False, False)
+
+
+def test_product_onto_nonzero_is_caught():
+    """The collapse map fails only on products that are zero in the source."""
+    A = _c2_matrix()
+    assert _both_product_checks(_collapse(A)) == (False, False)
+    assert not verify_graded_monomorphism(_collapse(A), A, A.base)
+
+
+def test_product_on_the_wrong_target_is_caught(c4):
+    """Swapping the targets of eta_0 and eta_2 in F[C4] keeps every
+    exponent and magnitude; only the product targets are wrong."""
+    B = TwistedGroupAlgebra(c4.full_subgroup())
+    swap = {0: 2, 2: 0}
+    gmap = GradedMap.monomial(B, B, {x: (B.field.one(), swap.get(x, x)) for x in B.basis_keys()})
+    assert _both_product_checks(gmap) == (False, False)
+    assert not verify_graded_monomorphism(gmap, B, B)
+
+
+# -- maps that are not monomial -------------------------------------------------
+
+
+def _conjugation_by_unipotent():
+    """x -> u x u^-1 on M_2(F[C2]) with u = 1 + E12, a graded automorphism
+    with images of up to four terms."""
+    A = _c2_matrix()
+    e12 = A.basis_element((1, 2, 0))
+    u, u_inv = A.one() + e12, A.one() - e12
+    return A, {key: u * A.basis_element(key) * u_inv for key in A.basis_keys()}
+
+
+def test_non_monomial_automorphism_verifies():
+    A, images = _conjugation_by_unipotent()
+    assert any(len(img.terms) > 1 for img in images.values())
+    assert verify_graded_isomorphism(GradedMap(A, A, images), A, A)
+
+
+def test_non_monomial_map_with_an_altered_image_fails():
+    A, images = _conjugation_by_unipotent()
+    key = MatBasisElt(2, 1, 1)
+    images[key] = images[key] + A.basis_element((1, 1, 1))
+    assert not verify_graded_monomorphism(GradedMap(A, A, images), A, A)
+
+
+def test_non_injective_non_monomial_map_fails_by_rank(monkeypatch):
+    A, images = _conjugation_by_unipotent()
+    images[MatBasisElt(2, 2, 0)] = images[MatBasisElt(1, 1, 0)]
+    ranks = []
+    rank = fieldlin.rank
+
+    def spy(rows, field):
+        ranks.append(rank(rows, field))
+        return ranks[-1]
+
+    monkeypatch.setattr(fieldlin, "rank", spy)
+    assert not verify_graded_monomorphism(GradedMap(A, A, images), A, A)
+    assert ranks == [A.dim - 1]
