@@ -433,8 +433,9 @@ def class_order(sig: ExpCocycle):
 
 
 def _extend_solver(G: FiniteGroup, H: Subgroup, m_w) -> ModularSolver:
-    """Solver of S c - D f = edge_H(sigma): S holds G's kernel rows expanded at
-    H's edges, D is H's edge coboundary matrix."""
+    """Solver of S c = edge_H(sigma): S holds G's kernel rows expanded at H's
+    edges.  No coboundary columns of H are needed: G's kernel holds every
+    coboundary of G, and restriction maps those onto H's coboundaries."""
     key = ("extsolver", H.members, m_w)
     if key not in G._cache:
         K = cocycle_kernel(G, m_w)
@@ -442,8 +443,7 @@ def _extend_solver(G: FiniteGroup, H: Subgroup, m_w) -> ModularSolver:
         mem = np.array(H.members, dtype=np.int64)
         tables = _frame(G.full_subgroup()).expand(K, m_w)
         S = tables[:, mem[1:, None], mem[fr.gens][None, :]].reshape(K.shape[0], fr.width)
-        A = np.concatenate([S.T, (-fr.coboundary) % m_w], axis=1)
-        G._cache[key] = ModularSolver(A, m_w)
+        G._cache[key] = ModularSolver(S.T, m_w)
     return G._cache[key]
 
 
@@ -451,9 +451,10 @@ def extend_class(sig: ExpCocycle, G: FiniteGroup):
     """A cocycle on all of G whose restriction to H is equivalent to sig.
 
     Solved as one linear system at modulus M*exp(G) in H's edge
-    coordinates: unknown coefficients over the cocycle space of G plus an
-    unknown coboundary on H. Returns None when no class of G restricts to
-    the class of sig. That happens even for H central: the sign class on the
+    coordinates, with unknown coefficients over the cocycle space of G.
+    That space holds G's coboundaries, whose restrictions are all of H's,
+    so the system needs no coboundary unknowns. Returns None when no class
+    of G restricts to the class of sig. That happens even for H central: the sign class on the
     Klein four subgroup {0, 2, 4, 6} of C2 x C4 does not extend. Its
     alternating form is -1 on a pair (u, w^2) with w in G, while the form of
     a restricted class gives beta(u, w^2) = beta(u, w)^2 = 1.
@@ -471,9 +472,8 @@ def extend_class(sig: ExpCocycle, G: FiniteGroup):
     sol = solver.solve((e1 * _frame(H).edges(sn.mat)) % m_w)
     if sol is None:
         return None
-    # the first unknowns are the coefficients over the cocycle kernel rows
     K = cocycle_kernel(G, m_w)
-    vec = (sol[: K.shape[0]] @ K) % m_w
+    vec = (sol @ K) % m_w
     return ExpCocycle(full, m_w, _frame(full).expand(vec, m_w)[0])
 
 

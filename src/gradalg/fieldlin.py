@@ -3,8 +3,7 @@
 Matrices are lists of rows of CycloNumber, reduced by Gauss-Jordan with
 exact inverses, so every output is canonical.  Callers keep the matrices
 small: `identities` hands over a minor of at most n! <= 24 rows that it
-picked modulo a prime, and checks the rows left out itself; `embed` asks
-for the rank of a map's basis images when they are not distinct monomials.
+picked modulo a prime, and checks the rows left out itself.
 """
 
 from __future__ import annotations
@@ -47,10 +46,6 @@ def rref(rows, field):
         if rank == len(mat):
             break
     return mat[:rank], pivots
-
-
-def rank(rows, field):
-    return len(rref(rows, field)[0])
 
 
 def residual(reduced, pivots, vec):

@@ -7,6 +7,10 @@ arrays over basis positions, multiply_basis(k1, k2) -> (coef, key) | None
 (from MonomialAlgebra), and one().  Twisted group algebras key their basis
 by group element id, matrix algebras by (row, col, group element) triples;
 everything in this module is generic over the key type.
+
+GradedMap holds monomial maps only, the form of every witness the engine
+builds: each basis element goes to q*zeta^k times one basis element, q a
+nonzero rational.  Composition and inversion act on that data directly.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from .cyclo import CycloNumber
 from .errors import (
     AlgebraMismatch,
     FieldMismatch,
+    InvalidWitness,
     NotHomogeneous,
     ZeroElement,
 )
@@ -153,59 +158,69 @@ class GradedElement:
 
 
 class GradedMap:
-    """A linear map between graded algebras, given by basis images."""
+    """A monomial map between graded algebras: each source basis element
+    goes to a nonzero rational multiple of a root of unity times one target
+    basis element.  assign maps key -> (coef, target key)."""
+
+    __slots__ = ("source", "target", "assign")
 
     def __init__(self, source, target, images):
-        self.source = source
-        self.target = target
-        self.images = dict(images)
-        for key in source.basis_keys():
-            if key not in self.images:
-                raise AlgebraMismatch(f"no image assigned for basis key {key}")
+        """The map with one-term GradedElement images."""
+        assign = {}
+        for key, img in images.items():
+            if len(img.terms) != 1:
+                raise InvalidWitness(f"image of basis key {key} is not one term")
+            (tkey, coef), = img.terms.items()
+            assign[key] = (coef, tkey)
+        self._set(source, target, assign)
 
     @classmethod
     def monomial(cls, source, target, assign):
-        """Map sending each basis element to a scalar multiple of one target
-        basis element; assign maps key -> (coef, target key)."""
-        images = {
-            key: GradedElement(target, {tkey: coef})
-            for key, (coef, tkey) in assign.items()
-        }
-        return cls(source, target, images)
+        """The map with assign: key -> (coef, target key)."""
+        out = cls.__new__(cls)
+        out._set(source, target, assign)
+        return out
+
+    def _set(self, source, target, assign):
+        field = target.field
+        self.source = source
+        self.target = target
+        self.assign = {}
+        for key in source.basis_keys():
+            if key not in assign:
+                raise AlgebraMismatch(f"no image assigned for basis key {key}")
+            coef, tkey = assign[key]
+            coef = _coerce(field, coef)
+            mono = coef.as_monomial()
+            if mono is None or not mono[0]:
+                raise InvalidWitness(
+                    f"coefficient of basis key {key} is not a nonzero rational "
+                    "multiple of a root of unity")
+            self.assign[key] = (coef, tkey)
 
     def image(self, key):
-        return self.images[key]
+        coef, tkey = self.assign[key]
+        return GradedElement(self.target, {tkey: coef})
 
-    def apply(self, elt):
-        if elt.algebra != self.source:
-            raise AlgebraMismatch("element does not belong to the source algebra")
-        out = self.target.zero()
-        for key, c in elt.terms.items():
-            out = out + self.images[key].scaled(c)
-        return out
+    @property
+    def images(self):
+        return {key: self.image(key) for key in self.assign}
 
     def then(self, nxt):
         """Composition: first self, then nxt."""
         if self.target != nxt.source:
             raise AlgebraMismatch("maps do not compose: target != next source")
-        return GradedMap(
-            self.source, nxt.target,
-            {key: nxt.apply(img) for key, img in self.images.items()})
-
-    def monomial_assign(self):
+        after = nxt.assign
         out = {}
-        for key, img in self.images.items():
-            if len(img.terms) != 1:
-                raise ValueError("map is not monomial")
-            (tkey, coef), = img.terms.items()
-            out[key] = (coef, tkey)
-        return out
+        for key, (coef, tkey) in self.assign.items():
+            c, t = after[tkey]
+            out[key] = (coef * c, t)
+        return GradedMap.monomial(self.source, nxt.target, out)
 
     def invert(self):
-        """Inverse of a monomial bijection on basis keys."""
-        assign = self.monomial_assign()
+        """Inverse of a map that is a bijection on basis keys."""
         back = {}
-        for key, (coef, tkey) in assign.items():
+        for key, (coef, tkey) in self.assign.items():
             if tkey in back:
                 raise ValueError("map is not injective on basis keys")
             back[tkey] = (coef.inv(), key)
