@@ -439,9 +439,12 @@ def enumerate_subgroups(G: FiniteGroup):
 def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
     if H.parent is not G:
         raise NotASubgroup("subgroup belongs to a different group")
-    mem = set(H.members)
-    norm = [d for d in range(G.order) if {G.conj(h, d) for h in H.members} == mem]
-    return Subgroup(G, norm, _validated=True)
+    key = ("normalizer", H.members)
+    if key not in G._cache:
+        mem = set(H.members)
+        norm = [d for d in range(G.order) if {G.conj(h, d) for h in H.members} == mem]
+        G._cache[key] = Subgroup(G, norm, _validated=True)
+    return G._cache[key]
 
 
 def conjugate_subgroup(H: Subgroup, d) -> Subgroup:

@@ -10,14 +10,23 @@ column per permutation in lexicographic order.
 Both algebra types are monomial, so every entry of that matrix is 0 or a
 root of unity zeta_M^e (M the field's root order), and rows are built as
 exponents from basis products, scaled to start with zeta^0 and
-deduplicated.  The rows that stay independent modulo a prime p = 1 (mod M),
-with zeta_M sent to an element of order M, are independent over Q(zeta_M)
-and form a minor of at most n! rows, which fieldlin row-reduces exactly.
-Every other row is then checked exactly, in integer arithmetic modulo the
-M-th cyclotomic polynomial, to be killed by the minor's kernel; a row that
-is not joins the minor.  This is the split of Dixon, "Exact solution of
-linear equations using p-adic expansions", Numer. Math. 40 (1982): the
-prime only picks the pivot rows, so the spaces are exact for any prime.
+deduplicated.  The products are read from the algebra's structure-constant
+grid over basis positions (multiply_rows_exp, the tables that witness
+verification also uses), built once per call.  The rows that stay
+independent modulo a prime p = 1 (mod M), with zeta_M sent to an element
+of order M, are independent over Q(zeta_M) and form a minor of at most n!
+rows, which fieldlin row-reduces exactly.  Every other row is then checked
+exactly, in integer arithmetic modulo the M-th cyclotomic polynomial, to be
+killed by the minor's kernel; a row that is not joins the minor.  This is
+the split of Dixon, "Exact solution of linear equations using p-adic
+expansions", Numer. Math. 40 (1982): the prime only picks the pivot rows,
+so the spaces are exact for any prime.
+
+A row space depends only on its set of distinct rows, and many degree
+assignments share one, so a call reduces each (width, row set) once; a
+containment shares these reductions between its two algebras, which live
+over one field, and decides each pair of row sets once.  Nothing is kept
+between calls.
 
 Containment compares row spaces: every identity of A is one of B exactly
 when the rows of B lie in the row space of A.
@@ -157,52 +166,68 @@ def _perms(n):
     return sorted(itertools.permutations(range(1, n + 1)))
 
 
-def _products(mul, keys):
-    """keys[w(1)-1] ... keys[w(n)-1] for every permutation w, in lexicographic
-    order: (e, key) for zeta_M^e times a basis key, or None for zero.
+class _Grid:
+    """One algebra's structure constants over basis positions, read once
+    from multiply_rows_exp: exp[a][b] and prod[a][b] give e_a e_b =
+    zeta_M^exp e_prod (prod -1 for zero), and comps maps each degree of the
+    support to the positions of its basis, in basis_keys() order.
 
-    mul is the algebra's multiply_basis_exp.  Permutations that share a
-    prefix share its product.
+    The two tables hold dim**2 entries each, so a grid costs O(dim**2)
+    memory; they are lists so that the walk reads them with plain indexing.
     """
+
+    def __init__(self, algebra):
+        self.keys = algebra.basis_keys()
+        exp, prod = algebra.multiply_rows_exp(np.arange(len(self.keys)))
+        self.exp = exp.tolist()
+        self.prod = prod.tolist()
+        self.comps = {}
+        for pos, key in enumerate(self.keys):
+            self.comps.setdefault(algebra.degree_of_key(key), []).append(pos)
+
+
+def _products(grid, subst):
+    """e_w(1) ... e_w(n) for the basis positions subst and every permutation
+    w, in lexicographic order: (e, pos) for zeta_M^e times the basis element
+    at pos, or None for zero.  Permutations that share a prefix share its
+    product.
+    """
+    exp, prod = grid.exp, grid.prod
     out = []
 
-    def walk(e, key, rest):
+    def walk(e, pos, rest):
         if not rest:
-            out.append((e, key))
+            out.append((e, pos))
             return
-        for k, i in enumerate(rest):
+        row_exp, row_prod = exp[pos], prod[pos]
+        for k, right in enumerate(rest):
             tail = rest[:k] + rest[k + 1:]
-            hit = mul(key, keys[i])
-            if hit is None:
+            hit = row_prod[right]
+            if hit < 0:
                 out.extend([None] * factorial(len(tail)))
             else:
-                walk(e + hit[0], hit[1], tail)
+                walk(e + row_exp[right], hit, tail)
 
-    everything = tuple(range(len(keys)))
-    for i in everything:
-        walk(0, keys[i], everything[:i] + everything[i + 1:])
+    for k, first in enumerate(subst):
+        walk(0, first, subst[:k] + subst[k + 1:])
     return out
 
 
-def _exponent_rows(algebra, degs):
+def _exponent_rows(grid, degs, m):
     """Distinct rows of the evaluation matrix in exponent form, each mapped
-    to the first basis substitution that gives it.
+    to the first basis substitution that gives it, as basis positions.
 
     The matrix has one row per (substitution, landing basis key) and one
-    column per permutation; an entry zeta_M^e is stored as e, a zero as -1.
+    column per permutation; an entry zeta_m^e is stored as e, a zero as -1.
     Each row is scaled to start with zeta^0 before duplicates are dropped,
     which keeps the row space.  Component basis elements are single basis
     keys with coefficient 1, so the rows need only basis products.
     """
-    m = algebra.field.modulus
     width = factorial(len(degs))
-    comps = [algebra.component_basis(g) for g in degs]
-    mul = lru_cache(maxsize=None)(algebra.multiply_basis_exp)
     rows = {}
-    for subst in itertools.product(*comps):
+    for subst in itertools.product(*(grid.comps.get(g, ()) for g in degs)):
         landed = {}
-        keys = [elt.support_keys()[0] for elt in subst]
-        for col, hit in enumerate(_products(mul, keys)):
+        for col, hit in enumerate(_products(grid, subst)):
             if hit is not None:
                 landed.setdefault(hit[1], [-1] * width)[col] = hit[0]
         for row in landed.values():
@@ -297,10 +322,12 @@ def _not_killed(E, vectors, field):
 
 
 class _RowSpace(NamedTuple):
-    """The row space of an evaluation matrix: its rref, canonical kernel
-    basis, distinct rows in exponent form and, per row, the first basis
-    substitution that gives it."""
+    """The row space of an evaluation matrix: its key (width, set of
+    distinct rows), rref and canonical kernel basis, and the distinct rows
+    in exponent form with, per row, the first basis substitution (as basis
+    positions) that gives it."""
 
+    key: tuple
     reduced: list
     pivots: list
     kernel: list
@@ -308,32 +335,46 @@ class _RowSpace(NamedTuple):
     substs: list
 
 
-def _row_space(algebra, degs):
+def _row_space(grid, degs, field, reductions):
     """Exact row space of the evaluation matrix at one degree assignment.
+
+    A row space depends only on its set of rows (and, for the empty set,
+    on the width), so reductions maps that key to (reduced, pivots,
+    kernel) and each set is reduced once per dict.  The rows and
+    substitutions stay per assignment.
+    """
+    width = factorial(len(degs))
+    rows = _exponent_rows(grid, degs, field.modulus)
+    distinct = list(rows)
+    E = np.array(distinct, dtype=np.int64).reshape(len(distinct), width)
+    key = (width, frozenset(distinct))
+    if key not in reductions:
+        reductions[key] = _reduce(E, field)
+    return _RowSpace(key, *reductions[key], E, list(rows.values()))
+
+
+def _reduce(E, field):
+    """(reduced, pivots, kernel) of the rows E (exponent form), exactly.
 
     The rows picked modulo a prime form the minor that fieldlin reduces;
     every row left out is then checked to be killed by the minor's kernel,
-    and the first that is not joins the minor.  So the result is exact for any prime.
+    and the first that is not joins the minor.  So the result is exact for
+    any prime, and canonical: it does not depend on the order of the rows.
     """
-    field = algebra.field
-    m = field.modulus
-    width = factorial(len(degs))
-    rows = _exponent_rows(algebra, degs)
-    distinct = list(rows)
-    E = np.array(distinct, dtype=np.int64).reshape(len(distinct), width)
-    minor = _pivot_rows(E, m)
+    width = E.shape[1]
+    minor = _pivot_rows(E, field.modulus)
     zero = field.zero()
     while True:
         reduced, pivots = fieldlin.rref(
-            [[field.root(e) if e >= 0 else zero for e in distinct[i]] for i in minor],
+            [[field.root(e) if e >= 0 else zero for e in E[i].tolist()] for i in minor],
             field)
         kernel = fieldlin.kernel_basis(reduced, pivots, width, field)
-        out = np.ones(len(distinct), dtype=bool)
+        out = np.ones(len(E), dtype=bool)
         out[minor] = False
         out = np.flatnonzero(out)
         missed = out[_not_killed(E[out], kernel, field)]
         if not missed.size:
-            return _RowSpace(reduced, pivots, kernel, E, list(rows.values()))
+            return reduced, pivots, kernel
         minor.append(int(missed[0]))
 
 
@@ -351,7 +392,7 @@ def identity_space(algebra, assignment, config=None):
     """
     config = config or EngineConfig()
     _check_cap(assignment.n, config)
-    kernel = _row_space(algebra, assignment.degs).kernel
+    kernel = _row_space(_Grid(algebra), assignment.degs, algebra.field, {}).kernel
     perms = _perms(assignment.n)
     basis = tuple(_poly(assignment, perms, v, algebra.field) for v in kernel)
     return IdentitySpace(algebra=algebra, assignment=assignment, basis=basis)
@@ -414,11 +455,16 @@ def multilinear_containment(A, B, n_max, config=None):
     if not same_group(A.ambient, B.ambient):
         raise AmbientMismatch("algebras are graded by different groups")
     field = cyclo_field(lcm(A.field.modulus, B.field.modulus))
-    A2 = A.with_field(field)
     B2 = B.with_field(field)
-    dims_a = {g: len(A2.component_basis(g)) for g in A2.support()}
-    dims_b = {g: len(B2.component_basis(g)) for g in B2.support()}
+    grid_a, grid_b = _Grid(A.with_field(field)), _Grid(B2)
+    dims_a = {g: len(pos) for g, pos in grid_a.comps.items()}
+    dims_b = {g: len(pos) for g, pos in grid_b.comps.items()}
     supports = sorted(set(dims_a) | set(dims_b))
+    # both algebras live over field, so they share one reduction per row set
+    reductions = {}
+    # (key of A, key of B) -> index of A's first separating kernel vector,
+    # or None when contained
+    separators = {}
     verdicts = []
     skipped = []
     for n in range(1, n_max + 1):
@@ -429,24 +475,23 @@ def multilinear_containment(A, B, n_max, config=None):
             if factorial(n) * max(ra, rb, 1) > config.work_budget:
                 skipped.append(tuple(degs))
                 continue
-            a, b = _row_space(A2, degs), _row_space(B2, degs)
+            a = _row_space(grid_a, degs, field, reductions)
+            b = _row_space(grid_b, degs, field, reductions)
             dim_source = len(perms) - len(a.reduced)
             dim_target = len(perms) - len(b.reduced)
-            if all(fieldlin.in_span(a.reduced, a.pivots, row) for row in b.reduced):
+            if (a.key, b.key) not in separators:
+                separators[a.key, b.key] = _separator(a, b, field, degs)
+            sep = separators[a.key, b.key]
+            if sep is None:
                 verdicts.append(AssignmentVerdict(
                     degs=tuple(degs), contained=True,
                     dim_source=dim_source, dim_target=dim_target))
                 continue
-            for vec in a.kernel:
-                missed = np.flatnonzero(_not_killed(b.rows, [vec], field))
-                if missed.size:
-                    break
-            else:
-                raise VerificationFailed(
-                    f"no identity of the source separates at {tuple(degs)}")
+            vec = a.kernel[sep]
+            missed = np.flatnonzero(_not_killed(b.rows, [vec], field))
             separating = _poly(DegreeAssignment(degs), perms, vec, field)
-            subst = b.substs[missed[0]]
-            value = evaluate(separating, B2, subst)
+            subst = tuple(grid_b.keys[pos] for pos in b.substs[missed[0]])
+            value = evaluate(separating, B2, tuple(B2.basis_element(k) for k in subst))
             if value.is_zero():
                 raise VerificationFailed(
                     f"separating witness evaluates to zero at {tuple(degs)}")
@@ -454,7 +499,19 @@ def multilinear_containment(A, B, n_max, config=None):
                 degs=tuple(degs), contained=False,
                 dim_source=dim_source, dim_target=dim_target,
                 separating=separating,
-                witness_substitution=tuple(elt.support_keys()[0] for elt in subst),
+                witness_substitution=subst,
                 witness_value=value))
     return ContainmentReport(n_max=n_max, verdicts=tuple(verdicts),
                              skipped=tuple(skipped))
+
+
+def _separator(a, b, field, degs):
+    """None when the rows of B lie in the row space of A, else the index of
+    the first vector of A's kernel basis that some row of B does not kill."""
+    if all(fieldlin.in_span(a.reduced, a.pivots, row) for row in b.reduced):
+        return None
+    for i, vec in enumerate(a.kernel):
+        if _not_killed(b.rows, [vec], field).any():
+            return i
+    raise VerificationFailed(
+        f"no identity of the source separates at {tuple(degs)}")

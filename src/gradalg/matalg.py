@@ -49,6 +49,7 @@ class GradedMatrixAlgebra(MonomialAlgebra):
         self.base = base
         self.theta = theta
         self.k = len(theta)
+        self._keys = None
         self._degrees = None
 
     @property
@@ -72,11 +73,14 @@ class GradedMatrixAlgebra(MonomialAlgebra):
         return self.k * self.k * self.subgroup.order
 
     def basis_keys(self):
-        members = self.subgroup.members
-        k = self.k
-        return tuple(
-            MatBasisElt(i, j, z)
-            for i in range(1, k + 1) for j in range(1, k + 1) for z in members)
+        """The keys (i, j, zeta) in row-major order, built once."""
+        if self._keys is None:
+            members = self.subgroup.members
+            k = self.k
+            self._keys = tuple(
+                MatBasisElt(i, j, z)
+                for i in range(1, k + 1) for j in range(1, k + 1) for z in members)
+        return self._keys
 
     @property
     def degrees(self):

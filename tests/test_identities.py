@@ -1,7 +1,7 @@
 """Multilinear graded identities: spaces, evaluation, and containment."""
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 
 import numpy as np
 import pytest
@@ -23,6 +23,8 @@ from gradalg.errors import (
 )
 from gradalg.groups import Subgroup, cyclic
 from gradalg.identities import (
+    AssignmentVerdict,
+    ContainmentReport,
     DegreeAssignment,
     GradedMultilinearPoly,
     evaluate,
@@ -243,15 +245,15 @@ def _vector(poly, perms):
 
 
 def _reference_verdict(A, B, degs):
-    """(dim_source, dim_target, separating vector, witness keys, value) as the
-    kernels of the whole matrices give them; the last three are None when
-    every identity of A is one of B."""
+    """The verdict at degs as the kernels of the whole matrices give it:
+    the first basis identity of A that is not one of B, if any, with the
+    first basis substitution in B where it does not vanish."""
     perms, ka = _full_kernel(A, degs)
     _, kb = _full_kernel(B, degs)
     reduced, pivots = fieldlin.rref(kb, B.field)
     sep = next((v for v in ka if not fieldlin.in_span(reduced, pivots, v)), None)
     if sep is None:
-        return len(ka), len(kb), None, None, None
+        return AssignmentVerdict(degs, True, len(ka), len(kb))
     poly = GradedMultilinearPoly(
         DegreeAssignment(degs),
         {w: c for w, c in zip(perms, sep) if not c.is_zero()}, B.field)
@@ -259,8 +261,19 @@ def _reference_verdict(A, B, degs):
         value = evaluate(poly, B, subst)
         if not value.is_zero():
             keys = tuple(elt.support_keys()[0] for elt in subst)
-            return len(ka), len(kb), sep, keys, value
+            return AssignmentVerdict(degs, False, len(ka), len(kb), poly, keys, value)
     raise AssertionError("separating polynomial vanishes on every substitution")
+
+
+def _reference_report(A, B, rep):
+    """rep rebuilt assignment by assignment from _reference_verdict, over
+    the field that both algebras are widened to."""
+    field = cyclo_field(lcm(A.field.modulus, B.field.modulus))
+    A2, B2 = A.with_field(field), B.with_field(field)
+    return ContainmentReport(
+        n_max=rep.n_max,
+        verdicts=tuple(_reference_verdict(A2, B2, v.degs) for v in rep.verdicts),
+        skipped=rep.skipped)
 
 
 GROUPS = ("C2xC2", "C4", "Q8", "S3")
@@ -309,18 +322,48 @@ def test_containment_matches_the_whole_evaluation_matrix(data):
     twisted = not isinstance(A, GradedMatrixAlgebra) and not isinstance(B, GradedMatrixAlgebra)
     n_max = data.draw(st.integers(1, 3 if twisted else 2), label="n_max")
     rep = multilinear_containment(A, B, n_max)
-    field = cyclo_field(lcm(A.field.modulus, B.field.modulus))
-    A2, B2 = A.with_field(field), B.with_field(field)
     assert not rep.skipped
-    for v in rep.verdicts:
-        da, db, sep, keys, value = _reference_verdict(A2, B2, v.degs)
-        assert (v.dim_source, v.dim_target) == (da, db)
-        assert v.contained == (sep is None)
-        if sep is not None:
-            perms = sorted(itertools.permutations(range(1, len(v.degs) + 1)))
-            assert _vector(v.separating, perms) == sep
-            assert v.witness_substitution == keys
-            assert v.witness_value == value
+    assert rep == _reference_report(A, B, rep)
+
+
+def test_containment_from_a_subalgebra_with_empty_row_sets(klein, plain):
+    """F[<a>] inside V4 has no evaluation rows at an assignment that uses a
+    degree outside <a>, at degrees 1, 2 and 3, while F[V4] has rows there:
+    each degree's empty row set needs a kernel of its own width."""
+    line = TwistedGroupAlgebra(Subgroup(klein, (0, 1)))
+    rep = multilinear_containment(line, plain, 3)
+    assert {len(v.degs) for v in rep.verdicts if not v.contained} == {1, 2, 3}
+    assert rep == _reference_report(line, plain, rep)
+
+
+@pytest.mark.parametrize("pair", ["Q8 coboundary", "V4 sign"])
+def test_one_exact_reduction_per_row_set(monkeypatch, pair, klein, sign_cocycle, q8):
+    """A containment reduces each distinct (width, row set) once, for A and
+    B together, and its report is still the one the whole matrices give,
+    assignment by assignment."""
+    if pair == "Q8 coboundary":
+        H = q8.full_subgroup()
+        A = TwistedGroupAlgebra(H)
+        f = ExpFunction(H, 4, [0, 1, 2, 3, 1, 2, 3, 0])
+        B = TwistedGroupAlgebra(H, ExpCocycle(H, 4, coboundary_from(f).mat))
+    else:
+        A = TwistedGroupAlgebra(klein.full_subgroup(), sign_cocycle)
+        B = TwistedGroupAlgebra(klein.full_subgroup())
+    field = cyclo_field(lcm(A.field.modulus, B.field.modulus))
+    grids = [identities._Grid(X.with_field(field)) for X in (A, B)]
+    supports = sorted(set(grids[0].comps) | set(grids[1].comps))
+    keys = {(factorial(n), frozenset(identities._exponent_rows(grid, degs, field.modulus)))
+            for n in (1, 2, 3) for degs in itertools.product(supports, repeat=n)
+            for grid in grids}
+    calls = []
+    real_rref = fieldlin.rref
+    monkeypatch.setattr(fieldlin, "rref", lambda rows, F: calls.append(1) or real_rref(rows, F))
+    rep = multilinear_containment(A, B, 3)
+    monkeypatch.undo()
+    assert len(calls) == len(keys) < len(rep.verdicts) // 4
+    reference = _reference_report(A, B, rep)
+    assert jsonio.containment_to_json(rep) == jsonio.containment_to_json(reference)
+    assert rep == reference
 
 
 def test_exact_finish_repairs_a_starved_pivot_search(monkeypatch, klein, sign_cocycle):
