@@ -158,11 +158,6 @@ class GradedMatrixAlgebra(MonomialAlgebra):
             self.degree_of(key.i, key.j, key.zeta)
         return GradedElement(self, {MatBasisElt(*k): v for k, v in mapping.items()})
 
-    def component_basis(self, g):
-        return tuple(
-            self.basis_element(key) for key in self.basis_keys()
-            if self.degrees[key] == g)
-
     # -- checks -------------------------------------------------------------
 
     def verify_grading(self):

@@ -4,15 +4,26 @@ Rows live in int64 numpy arrays. A residue product is below N*N and a dot
 product of residue vectors of length w below N*N*w, so RowReducer, snf_mod
 and ModularSolver refuse (ModulusTooLarge) any modulus with N*N*w >= 2**63
 for the widths they handle. The default moduli, |G|*exp(G) <= 64*64 at the
-default order cap, stay many orders of magnitude below that bound. The
-reduced Howell form makes coset reduction canonical: reduce_vector returns
-the same vector for any two inputs that differ by an element of the row
-span, which downstream code uses for membership tests and for deterministic
-choice of representatives.
+default order cap, stay many orders of magnitude below that bound.
+
+RowReducer eliminates over the local rings. By the Chinese remainder theorem
+Z/N is the product of the rings Z/q over the prime powers q = p^k that divide
+N exactly, and a row span mod N is the product of its images mod each q. Z/q
+is a chain ring: its ideals are the p^v Z/q, so in each column the entry of
+least p-valuation generates the column's ideal and clears the column in one
+step, with no gcd cascade (Storjohann and Mulders, "Fast algorithms for
+linear algebra modulo N", ESA 1998). The local forms are combined into the
+reduced Howell form mod N, which is unique for the row span (Howell 1986):
+the result does not depend on the factorization, on the order of the rows or
+on how they were fed. That makes coset reduction canonical: reduce_vector
+returns the same vector for any two inputs that differ by an element of the
+row span, which downstream code uses for membership tests and for
+deterministic choice of representatives.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -60,130 +71,211 @@ def unit_lift(a, n):
     return u % n
 
 
+@lru_cache(maxsize=64)
+def _prime_powers(n):
+    """The prime powers that divide n exactly, in ascending order of prime."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(gcd(n, p ** n.bit_length()))  # p^k <= n < p^bit_length
+            n //= out[-1]
+        p += 1
+    return tuple(out + [n] * (n > 1))
+
+
 # rows that add_matrix reduces together: a larger block shares each pivot's
 # pass among more rows, a smaller one lets later rows meet new pivots sooner
 _BLOCK_ROWS = 64
 
 
-class RowReducer:
-    """Incremental reduced Howell form over Z/N (Howell 1986).
+def _subtract(rows, idx, c, q, prow, n):
+    """rows[idx] -= q * prow mod n, on the columns from c on (prow is zero left of c)."""
+    part = rows[idx, c:]
+    part -= q[:, None] * prow[c:]
+    part %= n
+    rows[idx, c:] = part
 
-    Keeps one pivot row per pivot column. Every pivot divides N, every row is
-    zero left of its pivot, every entry above a pivot lies in [0, pivot), and
-    the span of the rows whose pivot lies right of column c holds every span
-    vector that vanishes up to c (the completion rows (N/pivot)*row are
-    inserted for that). This form is unique for the row span, so basis() is
-    canonical. Insertion never shrinks the row span.
+
+class _Howell:
+    """Reduced Howell rows over Z/n: one row per pivot column.
+
+    Every pivot divides n, every row is zero left of its pivot, every entry
+    above a pivot lies in [0, pivot), and the span of the rows whose pivot lies
+    right of column c holds every span vector that vanishes up to c.
 
     Because entries above a unit pivot are zero, adding a multiple of a pivot
     row to any row changes it only in free columns and in columns of non-unit
-    pivots. Reduction therefore visits the pivots a row hits at the start plus
-    the non-unit pivots, and touches only the rows with a nonzero quotient and
-    the columns from the pivot on.
+    pivots. Reduction therefore clears the unit pivots a block hits together,
+    by one product, and then visits the non-unit pivots left to right,
+    touching only the rows with a nonzero quotient and the columns from the
+    pivot on.
+    """
+
+    def __init__(self, n, width):
+        self.n = n
+        self.rows = np.zeros((0, width), dtype=np.int64)
+        self.k = 0
+        # per column: row index of its pivot (-1 if none), pivot value (n if none)
+        self.slot = np.full(width, -1, dtype=np.intp)
+        self.pivot = np.full(width, n, dtype=np.int64)
+
+    def basis(self):
+        """The pivot rows, ordered by pivot column."""
+        return self.rows[self.slot[self.slot >= 0]]
+
+    def _nonunit(self):
+        return (1 < self.pivot) & (self.pivot < self.n)
+
+    def reduce(self, block):
+        """Reduce the rows of block (residues mod n) in place against the pivots."""
+        unit = (self.pivot == 1) & block.any(axis=0)
+        if unit.any():
+            cols = unit.nonzero()[0]
+            a, b = block[:, cols], self.rows[self.slot[cols]]
+            # float64 products run through BLAS and are exact while every dot
+            # product stays below 2**53; int64 holds the rest (_check_int64)
+            small = self.n * self.n * cols.size < 2 ** 53
+            block -= (a.astype(float) @ b).astype(np.int64) if small else a @ b
+            block %= self.n
+        for c in self._nonunit().nonzero()[0].tolist():
+            q = block[:, c] // self.pivot[c]
+            idx = q.nonzero()[0]
+            if idx.size:
+                _subtract(block, idx, c, q[idx], self.rows[self.slot[c]], self.n)
+        return block
+
+    def add(self, block):
+        """Add the rows of block (residues mod n) to the span; n must be a
+        prime power p^k, so that Z/n is a chain ring and pivots are powers of p.
+
+        The block is reduced against the pivots, then its surviving rows are
+        echelonized together, one step per column they touch. In each step
+        the entry of least valuation, scaled to its power of p, clears the
+        column in every other row. A pivot it displaces rejoins the rows, and
+        the new pivot row r brings its completion (n/pivot)*r, which keeps the
+        Howell property. The rows above the changed pivots are reduced once,
+        after the last step.
+        """
+        n = self.n
+        work = self.reduce(block)
+        work = work[work.any(axis=1)]
+        changed = []
+        c = -1
+        while work.shape[0]:
+            c += 1 + int(np.argmax(work[:, c + 1:].any(axis=0)))
+            val = np.gcd(work[:, c], n)
+            i = int(np.argmin(val))
+            piv, s = int(val[i]), int(self.slot[c])
+            if s < 0 or piv < self.pivot[c]:
+                row = pow(int(work[i, c]) // piv, -1, n) * work[i] % n
+                parts = [work[:i], work[i + 1:], (n // piv) * row[None, :] % n]
+                if s >= 0:
+                    parts.append(self.rows[s:s + 1])
+                else:
+                    if self.k == len(self.rows):
+                        more = np.zeros((max(8, self.k // 4), len(self.slot)), dtype=np.int64)
+                        self.rows = np.concatenate([self.rows, more])
+                    s = self.slot[c] = self.k
+                    self.k += 1
+                work = np.concatenate(parts)
+                self.rows[s], self.pivot[c] = row, piv
+                changed.append(c)
+            col = work[:, c]
+            idx = col.nonzero()[0]
+            _subtract(work, idx, c, col[idx] // self.pivot[c], self.rows[s], n)
+            work = work[work[:, c + 1:].any(axis=1)]
+        if changed:
+            # new rows are zero at the unit pivots that did not change
+            visit = self._nonunit()
+            visit[:changed[0]] = False
+            visit[changed] = True
+            self._clear_above(visit.nonzero()[0])
+
+    def _clear_above(self, cols):
+        """Put the entries above the pivots at cols in [0, pivot), left to right."""
+        R = self.rows
+        for c in cols.tolist():
+            s = self.slot[c]
+            q = R[:self.k, c] // self.pivot[c]
+            q[s] = 0
+            idx = q.nonzero()[0]
+            if idx.size:
+                _subtract(R, idx, c, q[idx], R[s], self.n)
+
+
+def _combine(forms, n, width):
+    """The reduced Howell form mod n whose image mod each form's n is that form.
+
+    The pivot at a column is the product of the local pivots (the form's
+    modulus where it has none). Its row is the CRT lift, through the
+    idempotents, of each local row scaled by pivot / local pivot, a unit
+    there; then every entry above a pivot is put in [0, pivot).
+    """
+    if len(forms) == 1:
+        return forms[0]
+    out = _Howell(n, width)
+    cols = np.flatnonzero(np.any([f.slot >= 0 for f in forms], axis=0))
+    piv = np.prod([f.pivot[cols] for f in forms], axis=0)
+    rows = np.zeros((cols.size, width), dtype=np.int64)
+    for f in forms:
+        m = n // f.n
+        mine = f.slot[cols] >= 0
+        coef = m * pow(m, -1, f.n) * (piv[mine] // f.pivot[cols[mine]]) % n
+        rows[mine] = (rows[mine] + coef[:, None] * f.rows[f.slot[cols[mine]]]) % n
+    out.rows, out.k = rows, cols.size
+    out.slot[cols], out.pivot[cols] = np.arange(cols.size), piv
+    out._clear_above(cols)
+    return out
+
+
+class RowReducer:
+    """Incremental reduced Howell form over Z/N (Howell 1986).
+
+    The form has one pivot row per pivot column. Every pivot divides N, every
+    row is zero left of its pivot, every entry above a pivot lies in [0,
+    pivot), and the span of the rows whose pivot lies right of column c holds
+    every span vector that vanishes up to c. This form is unique for the row
+    span, so basis() is canonical. Adding rows never shrinks the span.
+
+    Rows are eliminated in one reduced Howell form over Z/q for each prime
+    power q dividing N exactly, where pivots are powers of the prime. basis()
+    and reduce_vector combine them with CRT idempotents into the form mod N.
+    A submodule of (Z/N)^w is the product of its images in the (Z/q)^w, so
+    the combined rows span the same module, satisfy the Howell property
+    because each image does, and, being reduced, are the unique form.
     """
 
     def __init__(self, n_mod, width):
         self.N = int(n_mod)
         self.width = int(width)
         _check_int64(self.N, self.width)
-        self._rows = np.zeros((0, self.width), dtype=np.int64)
-        self._k = 0
-        # per column: row index of its pivot (-1 if none), pivot value (N if none)
-        self._slot = np.full(self.width, -1, dtype=np.intp)
-        self._pivot = np.full(self.width, self.N, dtype=np.int64)
-        self._nonunit = np.zeros(self.width, dtype=bool)
+        # one form per prime power; Z/1 has none, so it gets one empty form
+        self._local = [_Howell(q, self.width) for q in _prime_powers(self.N) or (1,)]
+        self._form = None
 
     def basis(self):
         """The pivot rows, ordered by pivot column."""
-        return self._rows[self._slot[self._slot >= 0]]
+        return self._combined().basis()
 
     def add_matrix(self, mat):
         mat = np.atleast_2d(np.asarray(mat, dtype=np.int64))
-        # each block is reduced in one pass against the pivots so far; its rows
-        # left nonzero are inserted one by one, and the next block sees them
         for lo in range(0, mat.shape[0], _BLOCK_ROWS):
-            block = mat[lo:lo + _BLOCK_ROWS] % self.N
-            self._reduce(block)
-            for i in np.flatnonzero(block.any(axis=1)):
-                self._insert(block[i])
+            for form in self._local:
+                form.add(mat[lo:lo + _BLOCK_ROWS] % form.n)
+        self._form = None
         return self
 
     def reduce_vector(self, vec):
         v = np.asarray(vec, dtype=np.int64) % self.N
-        return self._reduce(v[None, :])[0]
+        return self._combined().reduce(v[None, :])[0]
 
     def contains(self, vec):
         return not self.reduce_vector(vec).any()
 
-    def _reduce(self, block, start=0):
-        """Reduce the rows of block in place against the pivots at columns >= start."""
-        piv = self._pivot
-        hit = self._nonunit[start:] | (block[:, start:] >= piv[start:]).any(axis=0)
-        for c in (hit.nonzero()[0] + start).tolist():
-            q = block[:, c] // piv[c]
-            idx = q.nonzero()[0]
-            if idx.size:
-                self._subtract(block, idx, c, q[idx], self._rows[self._slot[c]])
-        return block
-
-    def _subtract(self, rows, idx, c, q, prow):
-        """rows[idx] -= q * prow, on the columns from c on (prow is zero left of c)."""
-        part = rows[idx, c:]
-        part -= q[:, None] * prow[c:]
-        part %= self.N
-        rows[idx, c:] = part
-
-    def _insert(self, row):
-        N = self.N
-        stack = [row]
-        while stack:
-            v = self._reduce(stack.pop()[None, :])[0]
-            nz = v.nonzero()[0]
-            if not nz.size:
-                continue
-            c = int(nz[0])
-            s = int(self._slot[c])
-            if s < 0:
-                s = self._new_slot(c)
-                self._rows[s] = (unit_lift(int(v[c]), N) * v) % N
-            else:
-                # v[c] lies in (0, pivot): replace the pivot by their gcd
-                old = self._rows[s].copy()
-                p, a = int(old[c]), int(v[c])
-                g, x, y = xgcd(p, a)
-                self._rows[s] = (x * old + y * v) % N
-                stack.append(((p // g) * v - (a // g) * old) % N)
-            g = self._settle(c, s)
-            if g > 1:
-                comp = ((N // g) * self._rows[s]) % N
-                if comp.any():
-                    stack.append(comp)
-
-    def _new_slot(self, c):
-        if self._k == self._rows.shape[0]:
-            cap = min(self.width, self._k + max(8, self._k // 4))
-            grown = np.zeros((cap, self.width), dtype=np.int64)
-            grown[:self._k] = self._rows[:self._k]
-            self._rows = grown
-        self._slot[c] = self._k
-        self._k += 1
-        return self._k - 1
-
-    def _settle(self, c, s):
-        """Restore reduced form after row s, the pivot row of column c, changed."""
-        R = self._rows
-        self._reduce(R[s:s + 1], c + 1)
-        g = int(R[s, c])
-        self._pivot[c] = g
-        self._nonunit[c] = g > 1
-        q = R[:self._k, c] // g
-        q[s] = 0
-        idx = q.nonzero()[0]
-        if idx.size:
-            self._subtract(R, idx, c, q[idx], R[s])
-            if self._nonunit[c + 1:].any():
-                R[idx] = self._reduce(R[idx], c + 1)
-        return g
+    def _combined(self):
+        if self._form is None:
+            self._form = _combine(self._local, self.N, self.width)
+        return self._form
 
 
 def howell_reduce(mat, n_mod):

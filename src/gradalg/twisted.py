@@ -103,12 +103,6 @@ class TwistedGroupAlgebra(MonomialAlgebra):
                 raise DomainMismatch(f"element {key} is not in the support subgroup")
         return GradedElement(self, mapping)
 
-    def component_basis(self, g):
-        """Basis of the degree-g component (empty outside the support)."""
-        if g in self._member_set:
-            return (self.eta(g),)
-        return ()
-
     # -- structure ----------------------------------------------------------
 
     def homogeneous_inverse(self, elt):

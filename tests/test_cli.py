@@ -4,6 +4,7 @@ Exit code contract: 0 success / yes, 3 clean no-verdict, 2 bad input or
 unmet hypothesis, 1 internal error.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -127,6 +128,31 @@ def test_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "h2", "--group", "C4xC4")
     _, second, _ = run(capsys, "h2", "--group", "C4xC4")
     assert first == second
+
+
+# SHA-256 of the `gradalg h2 --group G` stdout, pinned when the Howell
+# elimination still ran over Z/N itself: the canonical form must not move
+# when the elimination changes. The ten stdouts concatenated in this order
+# hash to fcfa086b2bdaaffff4a87849033b53cce2907ea69a6e11726f55a4fb9090f9f1.
+H2_STDOUT_SHA256 = {
+    "C2xC2": "a34ef12d43a4009e33155322a38a0fdc2b3643bbef883d2ae27643c96721a261",
+    "Q8": "b0d77a8fc80b600613318d2d3f674b44115022dbddf6f477c5b288ba5e2d4d0a",
+    "D4": "5acd67542591a1166318916b1b9cdd860517ba34a48f1743fa303832b38e9c33",
+    "C4xC4": "392b848b22dcdb8b02414aeef88e87567de94adcce4184b752076848a8bb0577",
+    "S4": "4acd34ecfc149e1aca49045b18227e17cdde1da33486ea9d7733f125815e8c8a",
+    "C2xC4xC4": "246d3362d36b685b1e494ccae6b8062535107c0c8401451a5bd567e3adf96bc4",
+    "C3xS3": "32925ef4062093fa30a1e7245255a221abffcd3b4b633edc8134d92ddc7888f1",
+    "C12": "571a0b86543353e092cc8092888ef7178f11b8943c28f056b30f0bc899206533",
+    "D6": "6968604fc49e1e63ed1e89e07fcdffc39e6ab0f4a757e2b9a30bd9db96d5c70a",
+    "C2xQ8": "805039c4f460f4e052eb9da0b31e0e5a57f15133b9288474ae191f54f8a14564",
+}
+
+
+@pytest.mark.parametrize("spec", list(H2_STDOUT_SHA256))
+def test_h2_stdout_bytes_are_pinned(capsys, spec):
+    code, out, _ = run(capsys, "h2", "--group", spec)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == H2_STDOUT_SHA256[spec]
 
 
 # -- bad inputs exit 2 --------------------------------------------------------------

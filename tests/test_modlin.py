@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import ZZ, Matrix
+from sympy import ZZ, Matrix, divisors
 from sympy.matrices.normalforms import smith_normal_form
 
 from gradalg.errors import ModulusTooLarge
 from gradalg.modlin import (
+    _BLOCK_ROWS,
     ModularSolver,
     RowReducer,
     howell_reduce,
@@ -37,6 +38,176 @@ def small_matrix(draw, n_mod, max_dim=4):
         )
     )
     return np.array(data, dtype=np.int64)
+
+
+# -- reference: incremental reduced Howell form over Z/N itself -------------------
+
+class _IncrementalReducer:
+    """Reduced Howell form over Z/N by inserting rows one at a time, with gcd
+    steps over Z/N: the form RowReducer must reproduce byte for byte.
+
+    Keeps one pivot row per pivot column. A row is reduced against the
+    pivots, then placed at its leading column: a new pivot is scaled to
+    gcd(entry, N), and a row that meets a pivot replaces it by the gcd of the
+    two entries, the leftover combination going back on the stack. The rows
+    above are then re-reduced, and a non-unit pivot row r also pushes its
+    completion (N/pivot)*r.
+    """
+
+    def __init__(self, n_mod, width):
+        self.N = int(n_mod)
+        self.width = int(width)
+        self._rows = np.zeros((0, self.width), dtype=np.int64)
+        self._k = 0
+        self._slot = np.full(self.width, -1, dtype=np.intp)
+        self._pivot = np.full(self.width, self.N, dtype=np.int64)
+        self._nonunit = np.zeros(self.width, dtype=bool)
+
+    def basis(self):
+        return self._rows[self._slot[self._slot >= 0]]
+
+    def add_matrix(self, mat):
+        mat = np.atleast_2d(np.asarray(mat, dtype=np.int64))
+        for lo in range(0, mat.shape[0], _BLOCK_ROWS):
+            block = mat[lo:lo + _BLOCK_ROWS] % self.N
+            self._reduce(block)
+            for i in np.flatnonzero(block.any(axis=1)):
+                self._insert(block[i])
+        return self
+
+    def reduce_vector(self, vec):
+        v = np.asarray(vec, dtype=np.int64) % self.N
+        return self._reduce(v[None, :])[0]
+
+    def _reduce(self, block, start=0):
+        piv = self._pivot
+        hit = self._nonunit[start:] | (block[:, start:] >= piv[start:]).any(axis=0)
+        for c in (hit.nonzero()[0] + start).tolist():
+            q = block[:, c] // piv[c]
+            idx = q.nonzero()[0]
+            if idx.size:
+                self._subtract(block, idx, c, q[idx], self._rows[self._slot[c]])
+        return block
+
+    def _subtract(self, rows, idx, c, q, prow):
+        part = rows[idx, c:]
+        part -= q[:, None] * prow[c:]
+        part %= self.N
+        rows[idx, c:] = part
+
+    def _insert(self, row):
+        N = self.N
+        stack = [row]
+        while stack:
+            v = self._reduce(stack.pop()[None, :])[0]
+            nz = v.nonzero()[0]
+            if not nz.size:
+                continue
+            c = int(nz[0])
+            s = int(self._slot[c])
+            if s < 0:
+                s = self._new_slot(c)
+                self._rows[s] = (unit_lift(int(v[c]), N) * v) % N
+            else:
+                old = self._rows[s].copy()
+                p, a = int(old[c]), int(v[c])
+                g, x, y = xgcd(p, a)
+                self._rows[s] = (x * old + y * v) % N
+                stack.append(((p // g) * v - (a // g) * old) % N)
+            g = self._settle(c, s)
+            if g > 1:
+                comp = ((N // g) * self._rows[s]) % N
+                if comp.any():
+                    stack.append(comp)
+
+    def _new_slot(self, c):
+        if self._k == self._rows.shape[0]:
+            cap = min(self.width, self._k + max(8, self._k // 4))
+            grown = np.zeros((cap, self.width), dtype=np.int64)
+            grown[:self._k] = self._rows[:self._k]
+            self._rows = grown
+        self._slot[c] = self._k
+        self._k += 1
+        return self._k - 1
+
+    def _settle(self, c, s):
+        R = self._rows
+        self._reduce(R[s:s + 1], c + 1)
+        g = int(R[s, c])
+        self._pivot[c] = g
+        self._nonunit[c] = g > 1
+        q = R[:self._k, c] // g
+        q[s] = 0
+        idx = q.nonzero()[0]
+        if idx.size:
+            self._subtract(R, idx, c, q[idx], R[s])
+            if self._nonunit[c + 1:].any():
+                R[idx] = self._reduce(R[idx], c + 1)
+        return g
+
+
+# one, two and three distinct primes, and the trivial ring
+oracle_moduli = st.sampled_from(list(range(1, 37)) + [72, 144, 192, 210, 4096])
+
+
+def divisor_rows(draw, n_mod, max_rows, max_cols):
+    """A matrix whose rows carry drawn divisors of n_mod, so that non-unit
+    leading entries and vanishing rows are common."""
+    rows = draw(st.integers(1, max_rows))
+    cols = draw(st.integers(1, max_cols))
+    data = draw(st.lists(
+        st.lists(st.integers(0, n_mod - 1), min_size=cols, max_size=cols),
+        min_size=rows, max_size=rows))
+    scale = draw(st.lists(st.sampled_from(divisors(n_mod)), min_size=rows, max_size=rows))
+    return (np.array(data, dtype=np.int64) * np.array(scale)[:, None]) % n_mod
+
+
+@given(st.data(), oracle_moduli)
+@settings(max_examples=150, deadline=None)
+def test_reducer_bytes_match_the_incremental_oracle(data, n):
+    A = divisor_rows(data.draw, n, max_rows=9, max_cols=6)
+    expect = _IncrementalReducer(n, A.shape[1]).add_matrix(A)
+    cut = data.draw(st.integers(0, A.shape[0]))
+    whole = RowReducer(n, A.shape[1]).add_matrix(A)
+    by_row = RowReducer(n, A.shape[1])
+    for row in A:
+        by_row.add_matrix(row)
+    split = RowReducer(n, A.shape[1]).add_matrix(A[:cut]).add_matrix(A[cut:])
+    v = np.array(data.draw(st.lists(
+        st.integers(-2 * n, 2 * n), min_size=A.shape[1], max_size=A.shape[1])))
+    for red in (whole, by_row, split):
+        assert red.basis().tobytes() == expect.basis().tobytes()
+        assert red.basis().shape == expect.basis().shape
+        assert red.reduce_vector(v).tobytes() == expect.reduce_vector(v).tobytes()
+
+
+@pytest.mark.parametrize("n", [72, 144, 192, 210, 4096])
+def test_reducer_bytes_match_the_oracle_across_blocks(n):
+    """More rows than one elimination block, fed whole and in uneven pieces,
+    with the [A | I] shape that kernel_mod and ModularSolver feed."""
+    rng = np.random.default_rng(n)
+    A = rng.integers(0, n, size=(150, 9)) * rng.integers(0, 2, size=(150, 9))
+    A = (A * rng.choice([1, 2, 3, 4], size=(150, 1))) % n
+    for mat in (A, np.hstack([A[:70], np.eye(70, dtype=np.int64)])):
+        expect = _IncrementalReducer(n, mat.shape[1]).add_matrix(mat).basis()
+        assert RowReducer(n, mat.shape[1]).add_matrix(mat).basis().tobytes() == expect.tobytes()
+        pieces = RowReducer(n, mat.shape[1])
+        for lo, hi in ((0, 5), (5, 100), (100, None)):
+            pieces.add_matrix(mat[lo:hi])
+        assert pieces.basis().tobytes() == expect.tobytes()
+
+
+def test_reducer_bytes_match_the_oracle_past_float64():
+    """Under a modulus whose residue products pass 2**53, reduction against
+    the form mod N must leave float64 for int64 and stay exact."""
+    n = 2**6 * 3**4 * 5**3 * 7**2 * 11
+    rng = np.random.default_rng(3)
+    A = rng.integers(0, n, size=(6, 8)) * np.array([[1], [1], [1], [1], [2 * 7], [3 * 5]]) % n
+    expect = _IncrementalReducer(n, 8).add_matrix(A)
+    red = RowReducer(n, 8).add_matrix(A[:3]).add_matrix(A[3:])
+    assert red.basis().tobytes() == expect.basis().tobytes()
+    for v in rng.integers(0, n, size=(20, 8)):
+        assert red.reduce_vector(v).tobytes() == expect.reduce_vector(v).tobytes()
 
 
 @given(st.integers(-500, 500), st.integers(-500, 500))
@@ -214,6 +385,20 @@ def test_solver_finds_planted_solution(data, n):
     x = solver.solve(b)
     assert x is not None
     assert ((A @ x) % n == b).all()
+
+
+@given(st.data(), st.integers(1, 12))
+@settings(max_examples=150, deadline=None)
+def test_solver_says_no_exactly_when_brute_force_finds_no_solution(data, n):
+    A = small_matrix(data.draw, n, max_dim=3)
+    b = np.array(data.draw(
+        st.lists(st.integers(0, n - 1), min_size=A.shape[0], max_size=A.shape[0])))
+    xs = np.array(list(itertools.product(range(n), repeat=A.shape[1])), dtype=np.int64)
+    solvable = bool(((xs @ A.T) % n == b).all(axis=1).any())
+    x = ModularSolver(A, n).solve(b)
+    assert (x is not None) == solvable
+    if x is not None:
+        assert ((A @ x) % n == b).all()
 
 
 def test_solver_reports_unsolvable():
