@@ -375,8 +375,8 @@ def cocycle_kernel(G: FiniteGroup, modulus):
     for rows in fr.relator_blocks():
         red.add_matrix(rows % modulus)
     basis = red.basis()
+    # kernel_mod's rows are already the reduced Howell basis of the kernel
     kern = kernel_mod(basis, modulus) if basis.shape[0] else np.eye(fr.width, dtype=np.int64)
-    kern = howell_reduce(kern, modulus).basis() if kern.shape[0] else kern
     G._cache[key] = kern
     return kern
 

@@ -187,9 +187,6 @@ class CycloNumber:
     def is_one(self):
         return self._mono is not None and self._mono == (_ONE, 0)
 
-    def is_rational(self):
-        return self.as_rational() is not None
-
     def as_rational(self):
         """The element as a Fraction if it lies in Q, else None."""
         if self._mono is not None:

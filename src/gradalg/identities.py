@@ -12,7 +12,13 @@ root of unity zeta_M^e (M the field's root order), and rows are built as
 exponents from basis products, scaled to start with zeta^0 and
 deduplicated.  The products are read from the algebra's structure-constant
 grid over basis positions (multiply_rows_exp, the tables that witness
-verification also uses), built once per call.  The rows that stay
+verification also uses), built once per call.  The rows of every
+assignment of one degree are built together in numpy, in steps of a
+bounded number of (substitution, permutation) entries: the products of
+all permutations grow prefix by prefix as gathers on the grid, the
+entries of a substitution are grouped into rows by the basis position
+they land on, and one stable sort per step drops each assignment's
+repeated rows, keeping the first substitution of each.  The rows that stay
 independent modulo a prime p = 1 (mod M), with zeta_M sent to an element
 of order M, are independent over Q(zeta_M) and form a minor of at most n!
 rows, which fieldlin row-reduces exactly.  Every other row is then checked
@@ -166,75 +172,153 @@ def _perms(n):
     return sorted(itertools.permutations(range(1, n + 1)))
 
 
+# (substitution x permutation) entries of the evaluation matrix built in one
+# step of _assignment_rows; every array of a step holds about this many
+_CHUNK_ENTRIES = 1 << 15
+
+
 class _Grid:
     """One algebra's structure constants over basis positions, read once
-    from multiply_rows_exp: exp[a][b] and prod[a][b] give e_a e_b =
-    zeta_M^exp e_prod (prod -1 for zero), and comps maps each degree of the
-    support to the positions of its basis, in basis_keys() order.
+    from multiply_rows_exp: exp[a, b] and prod[a, b] give e_a e_b =
+    zeta_M^exp e_prod (prod -1 for zero).  A last row of prod -1 and exp 0
+    stands for a zero left factor, so a product position -1 reads it.
 
-    The two tables hold dim**2 entries each, so a grid costs O(dim**2)
-    memory; they are lists so that the walk reads them with plain indexing.
+    comps maps each degree of the support to the positions of its basis, in
+    basis_keys() order; table holds the same lists as padded rows, index
+    the row of each degree, and sizes their lengths, with a last row of
+    size 0 for a degree outside the support.  The two tables hold dim**2
+    entries each, so a grid costs O(dim**2) memory.
     """
 
     def __init__(self, algebra):
         self.keys = algebra.basis_keys()
-        exp, prod = algebra.multiply_rows_exp(np.arange(len(self.keys)))
-        self.exp = exp.tolist()
-        self.prod = prod.tolist()
+        dim = len(self.keys)
+        exp, prod = algebra.multiply_rows_exp(np.arange(dim))
+        self.exp = np.vstack([exp, np.zeros((1, dim), dtype=np.int64)])
+        self.prod = np.vstack([prod, np.full((1, dim), -1, dtype=np.int64)])
         self.comps = {}
         for pos, key in enumerate(self.keys):
             self.comps.setdefault(algebra.degree_of_key(key), []).append(pos)
+        self.index = {g: i for i, g in enumerate(self.comps)}
+        self.sizes = np.array([len(c) for c in self.comps.values()] + [0], dtype=np.int64)
+        self.table = np.zeros((len(self.sizes), self.sizes.max()), dtype=np.int64)
+        for i, c in enumerate(self.comps.values()):
+            self.table[i, :len(c)] = c
 
 
-def _products(grid, subst):
-    """e_w(1) ... e_w(n) for the basis positions subst and every permutation
-    w, in lexicographic order: (e, pos) for zeta_M^e times the basis element
-    at pos, or None for zero.  Permutations that share a prefix share its
-    product.
+@lru_cache(maxsize=None)
+def _prefix_steps(n):
+    """The permutations of range(n) in lexicographic order, grown one
+    variable at a time: for each length k = 2..n, the prefixes of length k
+    in lexicographic order, as (index of the prefix of length k - 1,
+    variable appended)."""
+    steps = []
+    for k in range(2, n + 1):
+        shorter = {p: i for i, p in enumerate(itertools.permutations(range(n), k - 1))}
+        grown = list(itertools.permutations(range(n), k))
+        steps.append((np.array([shorter[p[:-1]] for p in grown]),
+                      np.array([p[-1] for p in grown])))
+    return tuple(steps)
+
+
+def _evaluation_rows(grid, subst, m):
+    """Rows of the evaluation matrix in exponent form for the substitutions
+    subst (one row of basis positions each), and the substitution of each
+    row.
+
+    The products e_w(1) ... e_w(n) for every substitution and permutation w
+    are gathered from the grid prefix by prefix.  A nonzero product lands on
+    one basis position; the row of (substitution, landing position) holds
+    zeta_m^e as e at the columns that land there and -1 elsewhere, scaled
+    to start with zeta^0.  Rows come by substitution, then by first column.
     """
-    exp, prod = grid.exp, grid.prod
-    out = []
+    pos, exp = subst, np.zeros_like(subst)
+    for parent, var in _prefix_steps(subst.shape[1]):
+        left, right = pos[:, parent], subst[:, var]
+        pos, exp = grid.prod[left, right], exp[:, parent] + grid.exp[left, right]
+    count, width = pos.shape
+    at = np.arange(count)[:, None]
+    # lead[s, c]: the first column of substitution s that lands where c does
+    order = np.argsort(pos, axis=1, kind="stable")
+    landed = pos[at, order]
+    start = np.ones(landed.shape, dtype=bool)
+    start[:, 1:] = landed[:, 1:] != landed[:, :-1]
+    head = np.maximum.accumulate(np.where(start, np.arange(width), 0), axis=1)
+    lead = np.empty_like(order)
+    lead[at, order] = order[at, head]
+    live = pos >= 0
+    # the entries that lead a row, by substitution then column
+    first = np.flatnonzero(live & (lead == np.arange(width)))
+    row_of = np.zeros(pos.size, dtype=np.int64)
+    row_of[first] = np.arange(first.size)
+    row = row_of[at * width + lead]
+    E = np.full((first.size, width), -1, dtype=np.min_scalar_type(-m))
+    E[row[live], np.nonzero(live)[1]] = (exp - exp[at, lead])[live] % m
+    return E, first // width
 
-    def walk(e, pos, rest):
-        if not rest:
-            out.append((e, pos))
-            return
-        row_exp, row_prod = exp[pos], prod[pos]
-        for k, right in enumerate(rest):
-            tail = rest[:k] + rest[k + 1:]
-            hit = row_prod[right]
-            if hit < 0:
-                out.extend([None] * factorial(len(tail)))
-            else:
-                walk(e + row_exp[right], hit, tail)
 
-    for k, first in enumerate(subst):
-        walk(0, first, subst[:k] + subst[k + 1:])
-    return out
+def _distinct_rows(E, subst, owner, count):
+    """(rows, substs, sorted rows, bounds): the distinct rows of E for each
+    of the count owners, in order of first occurrence and each with the
+    substitution of that occurrence, and sorted.  Owner i's rows are
+    [bounds[i], bounds[i + 1]) of each; owners do not decrease down E."""
+    # a stable sort by owner, then row, keeps first occurrences first
+    order = np.lexsort((*E.T[::-1], owner))
+    rows, owners = E[order], owner[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (owners[1:] != owners[:-1]) | (rows[1:] != rows[:-1]).any(axis=1)
+    srt = order[new]
+    occ = np.sort(srt)
+    bounds = np.searchsorted(owner[occ], np.arange(count + 1))
+    return E[occ], subst[occ], E[srt], bounds
 
 
-def _exponent_rows(grid, degs, m):
-    """Distinct rows of the evaluation matrix in exponent form, each mapped
-    to the first basis substitution that gives it, as basis positions.
+def _assignment_rows(grid, assignments, n, m):
+    """For each degree assignment of degree n, in order: the distinct rows
+    of its evaluation matrix in exponent form, in order of first occurrence,
+    the first basis substitution (as basis positions) that gives each, and
+    the key (width, sorted rows as bytes) of the row set.
 
-    The matrix has one row per (substitution, landing basis key) and one
-    column per permutation; an entry zeta_m^e is stored as e, a zero as -1.
-    Each row is scaled to start with zeta^0 before duplicates are dropped,
-    which keeps the row space.  Component basis elements are single basis
-    keys with coefficient 1, so the rows need only basis products.
+    The substitutions of all assignments, each in itertools.product order
+    over its components, are laid end to end and built in steps of about
+    _CHUNK_ENTRIES entries, so memory does not grow with the assignments.
+    The distinct rows of an assignment that a step cuts are carried to the
+    head of the next step, which keeps first occurrences.
     """
-    width = factorial(len(degs))
-    rows = {}
-    for subst in itertools.product(*(grid.comps.get(g, ()) for g in degs)):
-        landed = {}
-        for col, hit in enumerate(_products(grid, subst)):
-            if hit is not None:
-                landed.setdefault(hit[1], [-1] * width)[col] = hit[0]
-        for row in landed.values():
-            lead = next(e for e in row if e >= 0)
-            rows.setdefault(
-                tuple((e - lead) % m if e >= 0 else -1 for e in row), subst)
-    return rows
+    width = factorial(n)
+    comp = np.array([[grid.index.get(g, -1) for g in degs] for degs in assignments],
+                    dtype=np.int64).reshape(len(assignments), n)
+    radix = grid.sizes[comp]
+    # itertools.product order: the last variable runs fastest
+    stride = np.ones_like(radix)
+    for k in range(n - 2, -1, -1):
+        stride[:, k] = stride[:, k + 1] * radix[:, k + 1]
+    offsets = np.concatenate([[0], np.cumsum(radix.prod(axis=1))])
+    total = int(offsets[-1])
+    step = max(1, _CHUNK_ENTRIES // width)
+    rows = np.zeros((0, width), dtype=np.min_scalar_type(-m))
+    substs = np.zeros((0, n), dtype=np.int64)
+    carried = 0
+    done = 0
+    for lo in range(0, total, step):
+        hi = min(lo + step, total)
+        t = np.arange(lo, hi)
+        owner = np.searchsorted(offsets, t, side="right") - 1
+        subst = grid.table[comp[owner], (t - offsets[owner])[:, None] // stride[owner] % radix[owner]]
+        E, of = _evaluation_rows(grid, subst, m)
+        # assignments done .. run_on - 1 end in this step; run_on runs on
+        run_on = int(np.searchsorted(offsets, hi, side="right")) - 1
+        rows, substs, ordered, bounds = _distinct_rows(
+            np.concatenate([rows[carried:], E]),
+            np.concatenate([substs[carried:], subst[of]]),
+            np.concatenate([np.zeros(len(rows) - carried, dtype=np.int64), owner[of] - done]),
+            run_on - done + 1)
+        for i in range(run_on - done):
+            seg = slice(bounds[i], bounds[i + 1])
+            yield rows[seg], substs[seg], (width, ordered[seg].tobytes())
+        carried, done = bounds[-2], run_on
+    for _ in range(done, len(assignments)):
+        yield rows[:0], substs[:0], (width, b"")
 
 
 def _is_prime(p):
@@ -322,35 +406,32 @@ def _not_killed(E, vectors, field):
 
 
 class _RowSpace(NamedTuple):
-    """The row space of an evaluation matrix: its key (width, set of
-    distinct rows), rref and canonical kernel basis, and the distinct rows
-    in exponent form with, per row, the first basis substitution (as basis
-    positions) that gives it."""
+    """The row space of an evaluation matrix: its key (width, sorted
+    distinct rows as bytes), rref and canonical kernel basis, and the
+    distinct rows in exponent form with, per row, the first basis
+    substitution (as basis positions) that gives it."""
 
     key: tuple
     reduced: list
     pivots: list
     kernel: list
     rows: np.ndarray
-    substs: list
+    substs: np.ndarray
 
 
-def _row_space(grid, degs, field, reductions):
-    """Exact row space of the evaluation matrix at one degree assignment.
+def _row_spaces(grid, assignments, n, field, reductions):
+    """Exact row spaces of the evaluation matrices at degree assignments of
+    degree n, one per assignment, in order.
 
     A row space depends only on its set of rows (and, for the empty set,
     on the width), so reductions maps that key to (reduced, pivots,
     kernel) and each set is reduced once per dict.  The rows and
     substitutions stay per assignment.
     """
-    width = factorial(len(degs))
-    rows = _exponent_rows(grid, degs, field.modulus)
-    distinct = list(rows)
-    E = np.array(distinct, dtype=np.int64).reshape(len(distinct), width)
-    key = (width, frozenset(distinct))
-    if key not in reductions:
-        reductions[key] = _reduce(E, field)
-    return _RowSpace(key, *reductions[key], E, list(rows.values()))
+    for E, substs, key in _assignment_rows(grid, assignments, n, field.modulus):
+        if key not in reductions:
+            reductions[key] = _reduce(E, field)
+        yield _RowSpace(key, *reductions[key], E, substs)
 
 
 def _reduce(E, field):
@@ -392,7 +473,9 @@ def identity_space(algebra, assignment, config=None):
     """
     config = config or EngineConfig()
     _check_cap(assignment.n, config)
-    kernel = _row_space(_Grid(algebra), assignment.degs, algebra.field, {}).kernel
+    (space,) = _row_spaces(_Grid(algebra), [assignment.degs], assignment.n,
+                           algebra.field, {})
+    kernel = space.kernel
     perms = _perms(assignment.n)
     basis = tuple(_poly(assignment, perms, v, algebra.field) for v in kernel)
     return IdentitySpace(algebra=algebra, assignment=assignment, basis=basis)
@@ -469,14 +552,16 @@ def multilinear_containment(A, B, n_max, config=None):
     skipped = []
     for n in range(1, n_max + 1):
         perms = _perms(n)
+        todo = []
         for degs in itertools.product(supports, repeat=n):
             ra = prod(dims_a.get(g, 0) for g in degs)
             rb = prod(dims_b.get(g, 0) for g in degs)
             if factorial(n) * max(ra, rb, 1) > config.work_budget:
-                skipped.append(tuple(degs))
-                continue
-            a = _row_space(grid_a, degs, field, reductions)
-            b = _row_space(grid_b, degs, field, reductions)
+                skipped.append(degs)
+            else:
+                todo.append(degs)
+        for degs, a, b in zip(todo, _row_spaces(grid_a, todo, n, field, reductions),
+                              _row_spaces(grid_b, todo, n, field, reductions)):
             dim_source = len(perms) - len(a.reduced)
             dim_target = len(perms) - len(b.reduced)
             if (a.key, b.key) not in separators:
@@ -490,7 +575,7 @@ def multilinear_containment(A, B, n_max, config=None):
             vec = a.kernel[sep]
             missed = np.flatnonzero(_not_killed(b.rows, [vec], field))
             separating = _poly(DegreeAssignment(degs), perms, vec, field)
-            subst = tuple(grid_b.keys[pos] for pos in b.substs[missed[0]])
+            subst = tuple(grid_b.keys[pos] for pos in b.substs[missed[0]].tolist())
             value = evaluate(separating, B2, tuple(B2.basis_element(k) for k in subst))
             if value.is_zero():
                 raise VerificationFailed(

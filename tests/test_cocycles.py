@@ -418,6 +418,18 @@ def test_h2_at_order_64(spec):
     assert all(is_cocycle(rep) for rep in desc.representatives)
 
 
+@pytest.mark.parametrize("spec", [name for name, _, _ in catalog_groups()]
+                         + ["C4xC4xC4", "D4xQ8", "C2xC2xC2xC2xC2xC2"])
+def test_cocycle_kernel_is_a_reduced_howell_basis(spec):
+    """The kernel rows come out of kernel_mod as the reduced Howell basis
+    of the cocycle space, at |G| and at |G| * exp(G): reducing them again
+    changes nothing."""
+    G = parse_spec(spec)
+    for m in (G.order, G.order * G.exponent):
+        K = cocycle_kernel(G, m)
+        assert np.array_equal(K, howell_reduce(K, m).basis())
+
+
 # -- validity is checked once per table ------------------------------------------
 
 def test_cocycle_validity_is_checked_once_per_object(monkeypatch, sign_cocycle):

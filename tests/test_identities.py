@@ -1,7 +1,10 @@
 """Multilinear graded identities: spaces, evaluation, and containment."""
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, lcm, prod
 
 import numpy as np
 import pytest
@@ -282,6 +285,50 @@ def _reference_report(A, B, rep):
         skipped=rep.skipped)
 
 
+def _products(grid_exp, grid_prod, subst):
+    """e_w(1) ... e_w(n) for the basis positions subst and every permutation
+    w, in lexicographic order, by a walk over permutation prefixes: (e, pos)
+    for zeta_M^e times the basis element at pos, or None for zero."""
+    out = []
+
+    def walk(e, pos, rest):
+        if not rest:
+            out.append((e, pos))
+            return
+        row_exp, row_prod = grid_exp[pos], grid_prod[pos]
+        for k, right in enumerate(rest):
+            tail = rest[:k] + rest[k + 1:]
+            hit = row_prod[right]
+            if hit < 0:
+                out.extend([None] * factorial(len(tail)))
+            else:
+                walk(e + row_exp[right], hit, tail)
+
+    for k, first in enumerate(subst):
+        walk(0, first, subst[:k] + subst[k + 1:])
+    return out
+
+
+def _exponent_rows(grid, degs, m):
+    """Distinct rows of the evaluation matrix at degs in exponent form (-1
+    for zero), each scaled to start with zeta^0 and mapped to the first
+    basis substitution (as basis positions) that gives it, one substitution
+    and one permutation at a time."""
+    grid_exp, grid_prod = grid.exp.tolist(), grid.prod.tolist()
+    width = factorial(len(degs))
+    rows = {}
+    for subst in itertools.product(*(grid.comps.get(g, ()) for g in degs)):
+        landed = {}
+        for col, hit in enumerate(_products(grid_exp, grid_prod, subst)):
+            if hit is not None:
+                landed.setdefault(hit[1], [-1] * width)[col] = hit[0]
+        for row in landed.values():
+            lead = next(e for e in row if e >= 0)
+            rows.setdefault(
+                tuple((e - lead) % m if e >= 0 else -1 for e in row), subst)
+    return rows
+
+
 GROUPS = ("C2xC2", "C4", "Q8", "S3")
 
 
@@ -358,7 +405,7 @@ def test_one_exact_reduction_per_row_set(monkeypatch, pair, klein, sign_cocycle,
     field = cyclo_field(lcm(A.field.modulus, B.field.modulus))
     grids = [identities._Grid(X.with_field(field)) for X in (A, B)]
     supports = sorted(set(grids[0].comps) | set(grids[1].comps))
-    keys = {(factorial(n), frozenset(identities._exponent_rows(grid, degs, field.modulus)))
+    keys = {(factorial(n), frozenset(_exponent_rows(grid, degs, field.modulus)))
             for n in (1, 2, 3) for degs in itertools.product(supports, repeat=n)
             for grid in grids}
     calls = []
@@ -410,3 +457,85 @@ def test_not_killed_is_exact_past_int64():
     for a in (Fraction(1), Fraction(5**30, 3**40)):
         v = [F.from_fraction(a) * F.root(1), F.from_fraction(a)]
         assert identities._not_killed(E, [v], F).tolist() == [True, False, False, True]
+
+
+# -- batched rows against the walk -----------------------------------------------
+
+def _coboundary_twist(G, f):
+    H = G.full_subgroup()
+    return TwistedGroupAlgebra(H, ExpCocycle(H, 4, coboundary_from(ExpFunction(H, 4, f)).mat))
+
+
+def _walk_cases():
+    """(algebra, n, assignments): every assignment of degree <= 3 of the
+    twisted algebras (a line of V4 adds degrees outside the support), of
+    degree <= 2 of M_2 over V4 and C4, and degree-4 identity-space
+    assignments."""
+    V, C, Q = (catalog_group(name) for name in ("C2xC2", "C4", "Q8"))
+    sign = TwistedGroupAlgebra(V.full_subgroup(), klein_sign_cocycle(V.full_subgroup()))
+    plain = TwistedGroupAlgebra(V.full_subgroup())
+    line = TwistedGroupAlgebra(Subgroup(V, (0, 1)))
+    c_twist = _coboundary_twist(C, [0, 1, 3, 2])
+    q_twist = _coboundary_twist(Q, [0, 1, 2, 3, 1, 2, 3, 0])
+    m2_sign, m2_plain = GradedMatrixAlgebra(sign, (0, 1)), GradedMatrixAlgebra(plain, (0, 2))
+    m2_c = GradedMatrixAlgebra(c_twist, (0, 1))
+    cases = []
+    for algebra, n_max in ((sign, 3), (plain, 3), (line, 3), (c_twist, 3), (q_twist, 3),
+                           (m2_sign, 2), (m2_plain, 2), (m2_c, 2)):
+        for n in range(1, n_max + 1):
+            cases.append((algebra, n, list(itertools.product(
+                range(algebra.ambient.order), repeat=n))))
+    cases += [(m2_sign, 4, [(3, 3, 0, 1), (1, 2, 3, 0)]), (m2_c, 4, [(1, 3, 2, 0)]),
+              (sign, 4, [(1, 2, 3, 1)]), (q_twist, 4, [(1, 2, 5, 3), (4, 4, 4, 4)])]
+    return cases
+
+
+@pytest.mark.parametrize("chunk", [None, 10], ids=["default chunk", "chunk of 10"])
+def test_batched_rows_match_the_walk(monkeypatch, chunk):
+    """For every assignment, the batched builder gives the walk's distinct
+    rows in the same order, each with the same first substitution, and
+    keys the row set by its sorted rows.  Chunks of 10 entries split single
+    assignments (and degree 2 and 3 runs of assignments) across steps."""
+    if chunk is not None:
+        monkeypatch.setattr(identities, "_CHUNK_ENTRIES", chunk)
+    split = 0
+    for algebra, n, assignments in _walk_cases():
+        grid = identities._Grid(algebra)
+        m, width = algebra.field.modulus, factorial(n)
+        step = max(1, identities._CHUNK_ENTRIES // width)
+        built = list(identities._assignment_rows(grid, assignments, n, m))
+        assert len(built) == len(assignments)
+        for degs, (rows, substs, key) in zip(assignments, built):
+            walk = _exponent_rows(grid, degs, m)
+            assert [tuple(r) for r in rows.tolist()] == list(walk)
+            assert [tuple(s) for s in substs.tolist()] == list(walk.values())
+            ordered = np.array(sorted(walk), dtype=rows.dtype).reshape(-1, width)
+            assert key == (width, ordered.tobytes())
+            split += prod(len(grid.comps.get(g, ())) for g in degs) > step
+    assert (split > 0) == (chunk is not None)
+
+
+def test_identity_evaluation_leaves_numpy_ma_unimported():
+    """numpy.ma loads lazily (np.unique imports it), and in a process that
+    compiles its imports from source it costs several MB of resident
+    memory; building rows must not load it."""
+    code = """if True:
+        import sys
+        from gradalg.catalog import catalog_group, klein_sign_cocycle
+        from gradalg.identities import DegreeAssignment, identity_space, multilinear_containment
+        from gradalg.matalg import GradedMatrixAlgebra
+        from gradalg.twisted import TwistedGroupAlgebra
+        H = catalog_group("C2xC2").full_subgroup()
+        signed = TwistedGroupAlgebra(H, klein_sign_cocycle(H))
+        plain = TwistedGroupAlgebra(H)
+        m2_signed = GradedMatrixAlgebra(signed, (0, 1))
+        identity_space(m2_signed, DegreeAssignment((3, 3, 0, 1)))
+        multilinear_containment(m2_signed, GradedMatrixAlgebra(plain, (0, 1)), 2)
+        print(multilinear_containment(plain, signed, 3).contained, "numpy.ma" in sys.modules)
+    """
+    src = os.path.dirname(os.path.dirname(identities.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in (os.environ.get("PYTHONPATH"),) if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.split() == ["False", "False"]
