@@ -410,7 +410,7 @@ def _crit_identity_consistency():
                 rep = multilinear_containment(B, A, 3)
                 if rep.skipped:
                     problems.append("containment assignments skipped at default budget")
-                if not rep.contained:
+                elif not rep.contained:
                     problems.append(
                         "identities of an embedding codomain fail in its domain")
     if n_yes != 6:

@@ -25,13 +25,12 @@ from .errors import (
     VerificationFailed,
 )
 from .graded import GradedMap
-from .groups import Subgroup, is_central_in, normalizer, rehome, same_subgroup
+from .groups import Subgroup, is_central_in, rehome, same_subgroup
 from .matalg import (
     GradedMatrixAlgebra,
     LambdaWitness,
-    _coset_reps,
-    _lexmin_matching,
     regrade_iso,
+    slot_matchings,
 )
 from .modlin import _BLOCK_ROWS
 from .twisted import TwistedGroupAlgebra
@@ -311,20 +310,8 @@ def _matrix_decide(A1, A2, field, want_iso):
             return DecisionReport(False, reasons=("subgroup containment",))
     elif not set(H1.members) <= set(H2.members):
         return DecisionReport(False, reasons=("subgroup containment",))
-    G = A1.ambient
-    H2set = set(H2.members)
-    N2 = normalizer(G, H2)
     matched_any = False
-    for delta in _coset_reps(G, N2.members, H2.members):
-        dinv = G.inv(delta)
-        shifts = [
-            [G.mul(dinv, G.mul(A1.theta[j], G.inv(A2.theta[i]))) for i in range(A2.k)]
-            for j in range(A1.k)
-        ]
-        adj = [[i for i in range(A2.k) if shifts[j][i] in H2set] for j in range(A1.k)]
-        matching = _lexmin_matching(adj, A2.k)
-        if matching is None:
-            continue
+    for delta, matching, shifts in slot_matchings(H2, A1.theta, A2.theta):
         matched_any = True
         rho = conjugate_class(A2.sigma, delta)
         f = classes_equivalent(A1.sigma, restrict(rho, H1))

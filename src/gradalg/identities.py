@@ -469,10 +469,14 @@ def identity_space(algebra, assignment, config=None):
     """All multilinear identities of the algebra at one degree assignment.
 
     A degree whose component is zero makes every substitution for that
-    variable zero, so the kernel is the full n!-dimensional space.
+    variable zero, so the kernel is the full n!-dimensional space.  A degree
+    that is not an element of the grading group is refused.
     """
     config = config or EngineConfig()
     _check_cap(assignment.n, config)
+    for g in assignment.degs:
+        if not 0 <= g < algebra.ambient.order:
+            raise ValidationError(f"degree {g} is not an element of the grading group")
     (space,) = _row_spaces(_Grid(algebra), [assignment.degs], assignment.n,
                            algebra.field, {})
     kernel = space.kernel
@@ -509,7 +513,9 @@ class ContainmentReport:
 
     @property
     def contained(self):
-        return all(v.contained for v in self.verdicts)
+        """True when every assignment was decided and none separates; a
+        report with skipped assignments is undecided, never contained."""
+        return not self.skipped and all(v.contained for v in self.verdicts)
 
     def verdict_for(self, degs):
         degs = tuple(int(g) for g in degs)
@@ -525,7 +531,8 @@ def multilinear_containment(A, B, n_max, config=None):
 
     Assignments run over the union of the two supports.  An assignment
     whose estimated row count exceeds the work budget is skipped and
-    listed.  The identities of A lie among those of B exactly when the
+    listed, and a report with skipped assignments is not contained.  The
+    identities of A lie among those of B exactly when the
     evaluation rows of B lie in the row space of A's.  A non-contained
     assignment records the first basis polynomial of A's space that some
     row of B does not kill, together with the first basis substitution in

@@ -239,7 +239,7 @@ def _coset_reps(G, big_members, sub_members):
     return reps
 
 
-def _lexmin_matching(adj, n_targets):
+def _lexmin_matching(adj):
     """Lexicographically smallest injective matching covering every source.
 
     adj[j] lists candidate targets in ascending order.  Greedy choice with a
@@ -280,6 +280,27 @@ def _lexmin_matching(adj, n_targets):
     return out
 
 
+def slot_matchings(H, rows, cols):
+    """The regrading slot matchings of the tuple rows onto the tuple cols.
+
+    Scans the coset representatives delta of the support subgroup H inside
+    its normalizer, smallest first.  For each, shifts[j][i] is
+    delta^-1 rows_j cols_i^-1, and slot j may go to slot i when that shift
+    lies in H.  Yields (delta, matching, shifts) for each delta that admits
+    an injective matching of every row slot, with the lexicographically
+    smallest matching (matching[j] is the column slot of row slot j).
+    """
+    G = H.parent
+    members = set(H.members)
+    for delta in _coset_reps(G, normalizer(G, H).members, H.members):
+        dinv = G.inv(delta)
+        shifts = [[G.mul(dinv, G.mul(r, G.inv(c))) for c in cols] for r in rows]
+        matching = _lexmin_matching(
+            [[i for i, x in enumerate(row) if x in members] for row in shifts])
+        if matching is not None:
+            yield delta, matching, shifts
+
+
 def lambda_membership(target, algebra):
     """Decide whether the degree tuple target is a regrading of algebra's.
 
@@ -288,7 +309,6 @@ def lambda_membership(target, algebra):
     delta H.  Returns the first witness in (delta, matching) order, or None.
     """
     G = algebra.ambient
-    H = algebra.subgroup
     k = algebra.k
     target = tuple(int(t) for t in target)
     if len(target) != k:
@@ -296,19 +316,7 @@ def lambda_membership(target, algebra):
     for t in target:
         if not (0 <= t < G.order):
             raise ValidationError(f"target entry {t} is not a group element")
-    members = set(H.members)
-    N = normalizer(G, H)
-    theta = algebra.theta
-    for delta in _coset_reps(G, N.members, H.members):
-        dinv = G.inv(delta)
-        shifts = [
-            [G.mul(dinv, G.mul(target[j], G.inv(theta[i]))) for i in range(k)]
-            for j in range(k)
-        ]
-        adj = [[i for i in range(k) if shifts[j][i] in members] for j in range(k)]
-        matching = _lexmin_matching(adj, k)
-        if matching is None:
-            continue
+    for delta, matching, shifts in slot_matchings(algebra.subgroup, target, algebra.theta):
         witness = LambdaWitness(
             delta=delta,
             alpha=tuple(i + 1 for i in matching),

@@ -19,6 +19,11 @@ on how they were fed. That makes coset reduction canonical: reduce_vector
 returns the same vector for any two inputs that differ by an element of the
 row span, which downstream code uses for membership tests and for
 deterministic choice of representatives.
+
+ModularSolver solves A x ≡ b off one diagonalization U A V ≡ D by snf_mod:
+b is moved by U, divided by the diagonal row by row and moved back by V. Its
+solution is a particular one, fixed by A and b, not a canonical coset
+representative.
 """
 from __future__ import annotations
 
@@ -319,7 +324,6 @@ class SnfResult:
     """
     diag: tuple
     U: np.ndarray | None = None
-    Uinv: np.ndarray | None = None
     V: np.ndarray | None = None
     Vinv: np.ndarray | None = None
 
@@ -331,7 +335,6 @@ def snf_mod(A, n_mod, want_u=False, want_v=False):
     _check_int64(N, max(r, c))
     A = A % N
     U = np.eye(r, dtype=np.int64) if want_u else None
-    Uinv = np.eye(r, dtype=np.int64) if want_u else None
     V = np.eye(c, dtype=np.int64) if want_v else None
     Vinv = np.eye(c, dtype=np.int64) if want_v else None
 
@@ -339,25 +342,21 @@ def snf_mod(A, n_mod, want_u=False, want_v=False):
         A[[i, j]] = A[[j, i]]
         if U is not None:
             U[[i, j]] = U[[j, i]]
-            Uinv[:, [i, j]] = Uinv[:, [j, i]]
 
     def row_scale(i, u):
         A[i] = (A[i] * u) % N
         if U is not None:
             U[i] = (U[i] * u) % N
-            Uinv[:, i] = (Uinv[:, i] * modinv(u, N)) % N
 
     def rows_sub(idx, q, t):
         A[idx] = (A[idx] - q[:, None] * A[t]) % N
         if U is not None:
             U[idx] = (U[idx] - q[:, None] * U[t]) % N
-            Uinv[:, t] = (Uinv[:, t] + Uinv[:, idx] @ q) % N
 
     def row_add(t, i):
         A[t] = (A[t] + A[i]) % N
         if U is not None:
             U[t] = (U[t] + U[i]) % N
-            Uinv[:, i] = (Uinv[:, i] - Uinv[:, t]) % N
 
     def rows_combine(t, i, s, tt, p, ai, g):
         rt, ri = A[t].copy(), A[i].copy()
@@ -367,9 +366,6 @@ def snf_mod(A, n_mod, want_u=False, want_v=False):
             ut, ui = U[t].copy(), U[i].copy()
             U[t] = (s * ut + tt * ui) % N
             U[i] = ((p // g) * ui - (ai // g) * ut) % N
-            ct, ci = Uinv[:, t].copy(), Uinv[:, i].copy()
-            Uinv[:, t] = ((p // g) * ct + (ai // g) * ci) % N
-            Uinv[:, i] = (s * ci - tt * ct) % N
 
     def col_swap(i, j):
         A[:, [i, j]] = A[:, [j, i]]
@@ -448,41 +444,37 @@ def snf_mod(A, n_mod, want_u=False, want_v=False):
         t += 1
 
     diag = tuple(gcd(int(A[i, i]), N) if i < mdim else N for i in range(c))
-    return SnfResult(diag=diag, U=U, Uinv=Uinv, V=V, Vinv=Vinv)
+    return SnfResult(diag=diag, U=U, V=V, Vinv=Vinv)
 
 
 class ModularSolver:
-    """Solve A x ≡ b (mod N) for many right-hand sides off one factorization."""
+    """Solve A x ≡ b (mod N) for many right-hand sides off one Smith form.
+
+    snf_mod gives invertible U and V with U A V ≡ D, where D is zero off its
+    diagonal and D[i, i] = d_i divides N. Writing x = V y, the system is
+    D y ≡ U b: for c = U b, row i < min(m, n) reads d_i y_i ≡ c_i, solvable
+    exactly when d_i divides c_i (a d_i of N asks c_i = 0), and every later
+    row reads 0 ≡ c_i. So each row has a modulus, d_i or N; the system is
+    solvable exactly when every c_i is a multiple of its row's modulus, and
+    then y_i = c_i / d_i (0 past the rank) gives x = V y.
+    """
 
     def __init__(self, A, n_mod):
         N = int(n_mod)
         A = np.atleast_2d(np.asarray(A, dtype=np.int64))
         m, n = A.shape
         _check_int64(N, n + m)
+        r = min(m, n)
+        snf = snf_mod(A, N, want_u=True, want_v=True)
         self.N = N
-        self.ncols = n
-        B = _with_identity(A, N).basis()
-        R, C = B[:, :n], B[:, n:]
-        snf = snf_mod(R, N, want_u=True, want_v=True)
-        self.V = snf.V
-        self.W = (snf.U @ C) % N
-        self.diag = snf.diag
-        self.nrows = R.shape[0]
+        self.U = snf.U
+        self.V = snf.V[:, :r]
+        self.mods = np.array(snf.diag[:r] + (N,) * (m - r), dtype=np.int64)
 
     def solve(self, b):
         """A particular solution x with A x ≡ b, or None if none exists."""
-        N = self.N
-        c = (self.W @ (np.asarray(b, dtype=np.int64) % N)) % N
-        y = np.zeros(self.ncols, dtype=np.int64)
-        for i in range(self.nrows):
-            ci = int(c[i])
-            if i >= self.ncols:
-                if ci % N:
-                    return None
-                continue
-            d = self.diag[i]
-            if ci % d:
-                return None
-            if d != N:
-                y[i] = ci // d
-        return (self.V @ y) % N
+        c = (self.U @ (np.asarray(b, dtype=np.int64) % self.N)) % self.N
+        q, rem = np.divmod(c, self.mods)
+        if np.count_nonzero(rem):
+            return None
+        return (self.V @ q[:self.V.shape[1]]) % self.N

@@ -390,6 +390,15 @@ def test_pi_space(capsys, files):
     assert obj["dimension"] == 1
 
 
+@pytest.mark.parametrize("degs, bad", [("1,99", 99), ("-1,2", -1)])
+def test_pi_space_degree_outside_the_group_exits_2(capsys, files, degs, bad):
+    code, out, err = run(capsys, "pi", "space", "--algebra", files["signed"],
+                         f"--degs={degs}")
+    assert code == 2
+    assert out == ""
+    assert f"degree {bad} is not" in err
+
+
 def test_pi_contain_separates(capsys, files):
     code, obj, _ = run_json(capsys, "pi", "contain", "--a", files["plain"],
                             "--b", files["signed"], "--nmax", "2")
@@ -412,8 +421,10 @@ def test_pi_contain_budget_skips_everything_multilinear(capsys, files):
     code, obj, _ = run_json(capsys, "--budget", "1", "pi", "contain",
                             "--a", files["plain"], "--b", files["signed"],
                             "--nmax", "2")
-    assert code == 0
-    assert obj["contained"] is True
+    # every degree-2 assignment was skipped: the report is undecided, not contained
+    assert code == 3
+    assert obj["contained"] is False
+    assert all(v["contained"] for v in obj["assignments"])
     assert len(obj["skipped"]) == 16
 
 
@@ -460,7 +471,7 @@ def test_config_file_flag(capsys, files, tmp_path):
     code, obj, _ = run_json(capsys, "--config", str(cfg), "pi", "contain",
                             "--a", files["plain"], "--b", files["signed"],
                             "--nmax", "2")
-    assert code == 0
+    assert code == 3
     assert obj["skipped"]
 
 

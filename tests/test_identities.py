@@ -126,6 +126,12 @@ def test_identity_space_outside_support(c4):
     assert identity_space(B, DegreeAssignment((2,))).dimension == 0
 
 
+@pytest.mark.parametrize("degs, bad", [((1, 99), 99), ((-1, 2), -1), ((4,), 4)])
+def test_identity_space_refuses_degrees_outside_the_group(signed, degs, bad):
+    with pytest.raises(ValidationError, match=f"degree {bad} is not"):
+        identity_space(signed, DegreeAssignment(degs))
+
+
 def test_identity_space_degree_cap(plain):
     with pytest.raises(DegreeCapExceeded):
         identity_space(plain, DegreeAssignment((0,) * 5))
@@ -175,7 +181,9 @@ def test_containment_across_subalgebra(klein, plain):
 def test_containment_budget_skips(plain):
     cfg = EngineConfig(work_budget=1)
     rep = multilinear_containment(plain, plain, 3, cfg)
-    assert rep.contained  # nothing decided was violated
+    # nothing decided was violated, but skipped work leaves the report undecided
+    assert all(v.contained for v in rep.verdicts)
+    assert not rep.contained
     assert {len(v.degs) for v in rep.verdicts} == {1}
     assert len(rep.skipped) == 16 + 64
     assert rep.verdict_for((1, 2)) is None

@@ -210,7 +210,7 @@ def test_coset_reps():
 
 
 def test_lexmin_matching():
-    assert _lexmin_matching([[0, 1], [0]], 2) == [1, 0]
-    assert _lexmin_matching([[0, 1], [0, 1]], 2) == [0, 1]
-    assert _lexmin_matching([[1], [1]], 2) is None
-    assert _lexmin_matching([[0, 1, 2], [0], [2]], 3) == [1, 0, 2]
+    assert _lexmin_matching([[0, 1], [0]]) == [1, 0]
+    assert _lexmin_matching([[0, 1], [0, 1]]) == [0, 1]
+    assert _lexmin_matching([[1], [1]]) is None
+    assert _lexmin_matching([[0, 1, 2], [0], [2]]) == [1, 0, 2]

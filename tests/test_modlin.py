@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sympy import ZZ, Matrix, divisors
 from sympy.matrices.normalforms import smith_normal_form
 
+from gradalg import modlin
 from gradalg.errors import ModulusTooLarge
 from gradalg.modlin import (
     _BLOCK_ROWS,
@@ -184,7 +185,7 @@ def test_reducer_bytes_match_the_incremental_oracle(data, n):
 @pytest.mark.parametrize("n", [72, 144, 192, 210, 4096])
 def test_reducer_bytes_match_the_oracle_across_blocks(n):
     """More rows than one elimination block, fed whole and in uneven pieces,
-    with the [A | I] shape that kernel_mod and ModularSolver feed."""
+    with the [A | I] shape that kernel_mod feeds."""
     rng = np.random.default_rng(n)
     A = rng.integers(0, n, size=(150, 9)) * rng.integers(0, 2, size=(150, 9))
     A = (A * rng.choice([1, 2, 3, 4], size=(150, 1))) % n
@@ -350,8 +351,7 @@ def test_snf_transforms_witness(data, n):
         for j in range(A.shape[1]):
             expect = res.diag[j] % n if i == j else 0
             assert D[i, j] == expect
-    # transforms invert each other
-    assert ((res.U @ res.Uinv) % n == np.eye(A.shape[0], dtype=np.int64) % n).all()
+    # V is invertible, with inverse Vinv
     assert ((res.V @ res.Vinv) % n == np.eye(A.shape[1], dtype=np.int64) % n).all()
 
 
@@ -404,6 +404,29 @@ def test_solver_says_no_exactly_when_brute_force_finds_no_solution(data, n):
 def test_solver_reports_unsolvable():
     assert ModularSolver([[2]], 4).solve([1]) is None
     assert ModularSolver([[2, 0], [0, 2]], 4).solve([1, 0]) is None
+
+
+def test_solver_is_one_smith_form_of_a(monkeypatch):
+    """The solver diagonalizes A itself, once, and runs no Howell pass."""
+    calls = {"snf_mod": 0, "add_matrix": 0}
+    snf, add = modlin.snf_mod, RowReducer.add_matrix
+
+    def counted_snf(*args, **kwargs):
+        calls["snf_mod"] += 1
+        return snf(*args, **kwargs)
+
+    def counted_add(self, mat):
+        calls["add_matrix"] += 1
+        return add(self, mat)
+
+    monkeypatch.setattr(modlin, "snf_mod", counted_snf)
+    monkeypatch.setattr(RowReducer, "add_matrix", counted_add)
+    A = np.array([[2, 1, 0], [0, 3, 1], [4, 0, 2], [1, 1, 1]])
+    solver = ModularSolver(A, 12)
+    assert calls == {"snf_mod": 1, "add_matrix": 0}
+    b = (A @ [1, 2, 3]) % 12
+    assert ((A @ solver.solve(b)) % 12 == b).all()
+    assert calls == {"snf_mod": 1, "add_matrix": 0}
 
 
 def test_solver_many_rhs_reuse():
