@@ -322,6 +322,21 @@ def _parser():
     return top
 
 
+# the flags that take element ids; argparse reads a value such as "-1,2" as
+# an option, so main joins it to its flag ("--degs=-1,2") before parsing
+_IDS_FLAGS = ("--degs", "--target", "--subgroup", "--chain")
+
+
+def _join_ids(argv):
+    out = []
+    for tok in argv:
+        if out and out[-1] in _IDS_FLAGS and re.match(r"-\d", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def _make_config(args):
     cfg = load_config(args.config)
     over = {}
@@ -336,7 +351,7 @@ def _make_config(args):
 
 def main(argv=None):
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(_join_ids(sys.argv[1:] if argv is None else argv))
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:

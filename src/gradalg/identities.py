@@ -31,8 +31,12 @@ so the spaces are exact for any prime.
 A row space depends only on its set of distinct rows, and many degree
 assignments share one, so a call reduces each (width, row set) once; a
 containment shares these reductions between its two algebras, which live
-over one field, and decides each pair of row sets once.  Nothing is kept
-between calls.
+over one field, and decides each pair of row sets once.  When a pair is not
+contained, one exact check of B's rows against A's whole kernel picks the
+separating kernel vector and the rows of B it does not kill, and every
+assignment with that pair takes its witness row from those rows, so the
+witnesses need no exact work per assignment.  Nothing is kept between
+calls, except each field's table of x^t modulo Phi_m.
 
 Containment compares row spaces: every identity of A is one of B exactly
 when the rows of B lie in the row space of A.
@@ -371,28 +375,41 @@ def _pivot_rows(E, m):
     return picked
 
 
+@lru_cache(maxsize=None)
+def _residues(field):
+    """(rows, bound): row t holds the coefficients of x^t modulo Phi_m as
+    Python ints, for t < m, and bound is their largest absolute value.
+    Built once per field; the rows are tuples, so no caller can change
+    them."""
+    rows = tuple(tuple(int(c) for c in field.root(t).coeffs) for t in range(field.modulus))
+    return rows, max(abs(x) for row in rows for x in row)
+
+
 def _not_killed(E, vectors, field):
-    """Mask over the rows r of E (exponent form): whether some vector v has
+    """Mask over the rows r of E (exponent form) and the vectors v: whether
     sum_j zeta_m^E[r, j] v_j != 0 in the field Q(zeta_m), decided exactly.
 
     Each v is scaled to integer polynomials v_j(x) of degree < phi(m); row r
     sums the rotations x^E[r, j] v_j(x) in Z[x]/(x^m - 1), which is then
-    reduced modulo Phi_m.  int64 is used only when the bound on every sum
-    and product is below 2**63, else Python ints.
+    reduced modulo Phi_m by the field's table of residues.  int64 is used
+    only when the bound on every sum and product is below 2**63, else
+    Python ints.  _reduce asks whether any kernel vector misses a row;
+    _separator scans a pair of row sets once, and its mask for the
+    separating vector gives the witness rows of every assignment with that
+    pair.
     """
     rows, width = E.shape
     if not vectors or not rows:
-        return np.zeros(rows, dtype=bool)
+        return np.zeros((rows, len(vectors)), dtype=bool)
     m = field.modulus
-    # row t: the coefficients of x^t modulo Phi_m
-    residues = [[int(c) for c in field.root(t).coeffs] for t in range(m)]
+    residues, small = _residues(field)
     polys = []
     for v in vectors:
         coeffs = [c.coeffs if not c.is_zero() else () for c in v]
         den = lcm(*(q.denominator for cs in coeffs for q in cs))
-        polys.append([[int(q * den) for q in cs] + [0] * (m - len(cs)) for cs in coeffs])
+        polys.append([[q.numerator * (den // q.denominator) for q in cs] + [0] * (m - len(cs))
+                      for cs in coeffs])
     big = max(abs(x) for P in polys for vj in P for x in vj)
-    small = max(abs(x) for res in residues for x in res)
     dtype = np.int64 if m * width * big * small < 2**63 else object
     K = np.array(polys, dtype=dtype)
     total = np.zeros((rows, len(vectors), m), dtype=dtype)
@@ -402,7 +419,7 @@ def _not_killed(E, vectors, field):
         shift = (np.arange(m)[None, :] - E[live, j, None]) % m
         total[live] += K[:, j][:, shift].transpose(1, 0, 2)
     reduced = total @ np.array(residues, dtype=dtype)
-    return (reduced != 0).reshape(rows, -1).any(axis=1)
+    return (reduced != 0).any(axis=2)
 
 
 class _RowSpace(NamedTuple):
@@ -453,7 +470,7 @@ def _reduce(E, field):
         out = np.ones(len(E), dtype=bool)
         out[minor] = False
         out = np.flatnonzero(out)
-        missed = out[_not_killed(E[out], kernel, field)]
+        missed = out[_not_killed(E[out], kernel, field).any(axis=1)]
         if not missed.size:
             return reduced, pivots, kernel
         minor.append(int(missed[0]))
@@ -552,8 +569,9 @@ def multilinear_containment(A, B, n_max, config=None):
     supports = sorted(set(dims_a) | set(dims_b))
     # both algebras live over field, so they share one reduction per row set
     reductions = {}
-    # (key of A, key of B) -> index of A's first separating kernel vector,
-    # or None when contained
+    # (key of A, key of B) -> None when contained, else the index of A's
+    # first separating kernel vector and the rows of B (as bytes) it does
+    # not kill
     separators = {}
     verdicts = []
     skipped = []
@@ -579,10 +597,10 @@ def multilinear_containment(A, B, n_max, config=None):
                     degs=tuple(degs), contained=True,
                     dim_source=dim_source, dim_target=dim_target))
                 continue
-            vec = a.kernel[sep]
-            missed = np.flatnonzero(_not_killed(b.rows, [vec], field))
-            separating = _poly(DegreeAssignment(degs), perms, vec, field)
-            subst = tuple(grid_b.keys[pos] for pos in b.substs[missed[0]].tolist())
+            index, missed = sep
+            row = next(i for i, r in enumerate(b.rows) if r.tobytes() in missed)
+            separating = _poly(DegreeAssignment(degs), perms, a.kernel[index], field)
+            subst = tuple(grid_b.keys[pos] for pos in b.substs[row].tolist())
             value = evaluate(separating, B2, tuple(B2.basis_element(k) for k in subst))
             if value.is_zero():
                 raise VerificationFailed(
@@ -598,12 +616,19 @@ def multilinear_containment(A, B, n_max, config=None):
 
 
 def _separator(a, b, field, degs):
-    """None when the rows of B lie in the row space of A, else the index of
-    the first vector of A's kernel basis that some row of B does not kill."""
+    """None when the rows of B lie in the row space of A, else (i, missed):
+    the index of the first vector of A's kernel basis that some row of B
+    does not kill, and the rows of B (as bytes) that it does not kill.
+
+    The rows of B are scanned against the whole kernel once, so a
+    containment finds the witness row of every assignment with this pair
+    of row sets in missed, with no further exact check."""
     if all(fieldlin.in_span(a.reduced, a.pivots, row) for row in b.reduced):
         return None
-    for i, vec in enumerate(a.kernel):
-        if _not_killed(b.rows, [vec], field).any():
-            return i
-    raise VerificationFailed(
-        f"no identity of the source separates at {tuple(degs)}")
+    mask = _not_killed(b.rows, a.kernel, field)
+    hit = np.flatnonzero(mask.any(axis=0))
+    if not hit.size:
+        raise VerificationFailed(
+            f"no identity of the source separates at {tuple(degs)}")
+    i = int(hit[0])
+    return i, frozenset(row.tobytes() for row in b.rows[mask[:, i]])

@@ -392,11 +392,25 @@ def test_pi_space(capsys, files):
 
 @pytest.mark.parametrize("degs, bad", [("1,99", 99), ("-1,2", -1)])
 def test_pi_space_degree_outside_the_group_exits_2(capsys, files, degs, bad):
-    code, out, err = run(capsys, "pi", "space", "--algebra", files["signed"],
-                         f"--degs={degs}")
+    for flag in ([f"--degs={degs}"], ["--degs", degs]):
+        code, out, err = run(capsys, "pi", "space", "--algebra", files["signed"], *flag)
+        assert code == 2
+        assert out == ""
+        assert f"degree {bad} is not" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("cocycle", "restrict", "--cocycle", "sig", "--subgroup", "-1,0"), "neutral element"),
+    (("lambda", "--algebra", "mat_s3", "--target", "-1,0"), "entry -1 is not"),
+    (("tower", "--algebra", "tower_ok", "--chain", "-1,0"), "neutral element"),
+])
+def test_negative_ids_as_their_own_argument_reach_the_library(capsys, files, argv, message):
+    """A value that starts with a negative id is read as the flag's value,
+    not as an option, for every flag that takes ids."""
+    code, out, err = run(capsys, *(files.get(a, a) for a in argv))
     assert code == 2
     assert out == ""
-    assert f"degree {bad} is not" in err
+    assert message in err and "usage" not in err
 
 
 def test_pi_contain_separates(capsys, files):

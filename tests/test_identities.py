@@ -464,7 +464,72 @@ def test_not_killed_is_exact_past_int64():
     E = np.array([[0, 0], [0, 3], [1, 0], [0, -1]])
     for a in (Fraction(1), Fraction(5**30, 3**40)):
         v = [F.from_fraction(a) * F.root(1), F.from_fraction(a)]
-        assert identities._not_killed(E, [v], F).tolist() == [True, False, False, True]
+        assert identities._not_killed(E, [v], F)[:, 0].tolist() == [True, False, False, True]
+
+
+def test_not_killed_masks_rows_by_vector():
+    """One call decides every (row, vector) pair."""
+    F = cyclo_field(4)
+    E = np.array([[0, 0], [0, 2], [1, 0]])
+    # (1, 1) kills only (0, 2); (1, -1) only (0, 0); (zeta, 1) only (1, 0)
+    vectors = [[F.one(), F.one()], [F.one(), -F.one()], [F.root(1), F.one()]]
+    mask = identities._not_killed(E, vectors, F)
+    assert mask.tolist() == [[True, False, True], [False, True, True], [True, True, False]]
+    assert identities._not_killed(E[:0], vectors, F).shape == (0, 3)
+    assert identities._not_killed(E, [], F).shape == (3, 0)
+
+
+@pytest.mark.parametrize("m", range(1, 31))
+def test_residue_table_is_the_powers_of_zeta(m):
+    F = cyclo_field(m)
+    rows, bound = identities._residues(F)
+    assert rows == tuple(tuple(int(c) for c in F.root(t).coeffs) for t in range(m))
+    assert bound == max(abs(x) for row in rows for x in row)
+    assert identities._residues(F) is identities._residues(cyclo_field(m))
+    with pytest.raises(TypeError):
+        rows[0][0] = 7
+
+
+def test_witness_rows_come_from_the_separator_scan(monkeypatch, klein, sign_cocycle):
+    """Outside _reduce, _not_killed runs once per pair of row sets that
+    reaches the kernel scan, never once per separated assignment, and the
+    report is still the one the whole matrices give."""
+    A = TwistedGroupAlgebra(klein.full_subgroup(), sign_cocycle)
+    B = TwistedGroupAlgebra(klein.full_subgroup())
+    calls = {"reduce": 0, "other": 0}
+    scanned = []
+    inside = []
+    real_not_killed, real_reduce = identities._not_killed, identities._reduce
+    real_separator = identities._separator
+
+    def not_killed(*args):
+        calls["reduce" if inside else "other"] += 1
+        return real_not_killed(*args)
+
+    def reduce(*args):
+        inside.append(1)
+        try:
+            return real_reduce(*args)
+        finally:
+            inside.pop()
+
+    def separator(a, b, field, degs):
+        out = real_separator(a, b, field, degs)
+        if out is not None:
+            scanned.append((a.key, b.key))
+        return out
+
+    monkeypatch.setattr(identities, "_not_killed", not_killed)
+    monkeypatch.setattr(identities, "_reduce", reduce)
+    monkeypatch.setattr(identities, "_separator", separator)
+    rep = multilinear_containment(A, B, 3)
+    monkeypatch.undo()
+    separated = [v for v in rep.verdicts if not v.contained]
+    assert len(set(scanned)) == len(scanned) < len(separated)
+    assert calls["other"] <= len(scanned)
+    reference = _reference_report(A, B, rep)
+    assert rep == reference
+    assert jsonio.containment_to_json(rep) == jsonio.containment_to_json(reference)
 
 
 # -- batched rows against the walk -----------------------------------------------
