@@ -8,6 +8,7 @@ hypothesis, 1 internal error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import re
 import sys
 
@@ -233,8 +234,16 @@ def _cmd_sweep(args, cfg, ws):
 # -- parser -------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and every subparser it makes, that takes flags only as
+    spelled: an abbreviation such as --deg for --degs is a usage error."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+
 def _parser():
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="gradalg",
         description="graded algebra embeddings, cohomology, and identities")
     top.add_argument("--workspace", metavar="FILE",
@@ -346,7 +355,7 @@ def _make_config(args):
         over["work_budget"] = args.budget
     if args.modulus is not None:
         over["modulus_override"] = args.modulus
-    return cfg.with_overrides(**over)
+    return dataclasses.replace(cfg, **over)
 
 
 def main(argv=None):

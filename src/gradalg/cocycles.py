@@ -135,13 +135,9 @@ def trivial_cocycle(domain: Subgroup, modulus=None) -> ExpCocycle:
 
 def _pos_mul(H: Subgroup):
     # position-indexed multiplication table of the subgroup
-    if "posmul" not in H._cache:
-        G = H.parent
-        H._cache["posmul"] = np.array(
-            [[H.position(G.mul(a, b)) for b in H.members] for a in H.members],
-            dtype=np.int64,
-        )
-    return H._cache["posmul"]
+    G = H.parent
+    return G.cached(("posmul", H.members), lambda: np.array(
+        [[H.position(G.mul(a, b)) for b in H.members] for a in H.members], dtype=np.int64))
 
 
 def is_cocycle(sig: ExpCocycle) -> bool:
@@ -349,36 +345,26 @@ class _Frame:
 
 
 def _frame(H: Subgroup) -> _Frame:
-    key = ("frame", H.members)
-    cache = H.parent._cache
-    if key not in cache:
-        cache[key] = _Frame(_pos_mul(H))
-    return cache[key]
+    return H.parent.cached(("frame", H.members), lambda: _Frame(_pos_mul(H)))
 
 
 def _cob_solver(H: Subgroup, m_w) -> ModularSolver:
-    key = ("cobsolver", H.members, m_w)
-    cache = H.parent._cache
-    if key not in cache:
-        cache[key] = ModularSolver(_frame(H).coboundary, m_w)
-    return cache[key]
+    return H.parent.cached(("cobsolver", H.members, m_w),
+                           lambda: ModularSolver(_frame(H).coboundary, m_w))
 
 
 def cocycle_kernel(G: FiniteGroup, modulus):
     """Howell basis of the normalized cocycle space of G over Z/modulus, in
     the edge coordinates of G's frame."""
-    key = ("cockernel", modulus)
-    if key in G._cache:
-        return G._cache[key]
-    fr = _frame(G.full_subgroup())
-    red = RowReducer(modulus, fr.width)
-    for rows in fr.relator_blocks():
-        red.add_matrix(rows % modulus)
-    basis = red.basis()
-    # kernel_mod's rows are already the reduced Howell basis of the kernel
-    kern = kernel_mod(basis, modulus) if basis.shape[0] else np.eye(fr.width, dtype=np.int64)
-    G._cache[key] = kern
-    return kern
+    def build():
+        fr = _frame(G.full_subgroup())
+        red = RowReducer(modulus, fr.width)
+        for rows in fr.relator_blocks():
+            red.add_matrix(rows % modulus)
+        basis = red.basis()
+        # kernel_mod's rows are already the reduced Howell basis of the kernel
+        return kernel_mod(basis, modulus) if basis.shape[0] else np.eye(fr.width, dtype=np.int64)
+    return G.cached(("cockernel", modulus), build)
 
 
 def classes_equivalent(sig: ExpCocycle, rho: ExpCocycle, working_modulus=None):
@@ -436,15 +422,14 @@ def _extend_solver(G: FiniteGroup, H: Subgroup, m_w) -> ModularSolver:
     """Solver of S c = edge_H(sigma): S holds G's kernel rows expanded at H's
     edges.  No coboundary columns of H are needed: G's kernel holds every
     coboundary of G, and restriction maps those onto H's coboundaries."""
-    key = ("extsolver", H.members, m_w)
-    if key not in G._cache:
+    def build():
         K = cocycle_kernel(G, m_w)
         fr = _frame(H)
         mem = np.array(H.members, dtype=np.int64)
         tables = _frame(G.full_subgroup()).expand(K, m_w)
         S = tables[:, mem[1:, None], mem[fr.gens][None, :]].reshape(K.shape[0], fr.width)
-        G._cache[key] = ModularSolver(S.T, m_w)
-    return G._cache[key]
+        return ModularSolver(S.T, m_w)
+    return G.cached(("extsolver", H.members, m_w), build)
 
 
 def extend_class(sig: ExpCocycle, G: FiniteGroup):
@@ -486,47 +471,42 @@ def h2_over_Fstar(G: FiniteGroup, order_cap=None) -> H2Description:
     """
     if order_cap is not None and G.order > order_cap:
         raise OrderCapExceeded(f"group order {G.order} exceeds cap {order_cap}")
-    if "h2desc" in G._cache:
-        return G._cache["h2desc"]
-    n = G.order
-    M = n
-    e = G.exponent
-    N = M * e
-    full = G.full_subgroup()
-    if n == 1:
-        desc = H2Description(G, 1, 1, (), (), 1)
-        G._cache["h2desc"] = desc
-        return desc
-    fr = _frame(full)
-    KM = cocycle_kernel(G, M)
-    GE = (e * KM) % N
-    k = GE.shape[0]
-    sysmat = np.concatenate([GE.T, (-fr.coboundary) % N], axis=1)
-    rel = kernel_mod(sysmat, N)[:, :k]
-    rel_basis = howell_reduce(rel, N).basis() if rel.shape[0] else rel
-    if rel_basis.shape[0] == 0:
-        rel_basis = np.zeros((0, k), dtype=np.int64)
-    snf = snf_mod(rel_basis, N, want_v=True)
-    eb = howell_reduce((rel @ GE) % N, N) if rel.shape[0] else RowReducer(N, GE.shape[1])
-    factors = []
-    reps = []
-    order = 1
-    for j, d in enumerate(snf.diag):
-        if d == 1:
-            continue
-        if M % d:
-            raise VerificationFailed(f"H^2 invariant factor {d} does not divide |G| = {M}")
-        factors.append(int(d))
-        order *= int(d)
-        vec = (snf.Vinv[j] @ GE) % N
-        vec = eb.reduce_vector(vec)
-        if (vec % e).any():
-            raise VerificationFailed(f"H^2 representative is not divisible by exp(G) = {e}")
-        reps.append(ExpCocycle(full, M, fr.expand(vec // e, M)[0]))
-    desc = H2Description(
-        G, M, N, tuple(factors), tuple(reps), order)
-    G._cache["h2desc"] = desc
-    return desc
+
+    def build():
+        M = G.order
+        if M == 1:
+            return H2Description(G, 1, 1, (), (), 1)
+        e = G.exponent
+        N = M * e
+        full = G.full_subgroup()
+        fr = _frame(full)
+        KM = cocycle_kernel(G, M)
+        GE = (e * KM) % N
+        k = GE.shape[0]
+        sysmat = np.concatenate([GE.T, (-fr.coboundary) % N], axis=1)
+        rel = kernel_mod(sysmat, N)[:, :k]
+        rel_basis = howell_reduce(rel, N).basis() if rel.shape[0] else rel
+        if rel_basis.shape[0] == 0:
+            rel_basis = np.zeros((0, k), dtype=np.int64)
+        snf = snf_mod(rel_basis, N, want_v=True)
+        eb = howell_reduce((rel @ GE) % N, N) if rel.shape[0] else RowReducer(N, GE.shape[1])
+        factors = []
+        reps = []
+        order = 1
+        for j, d in enumerate(snf.diag):
+            if d == 1:
+                continue
+            if M % d:
+                raise VerificationFailed(f"H^2 invariant factor {d} does not divide |G| = {M}")
+            factors.append(int(d))
+            order *= int(d)
+            vec = (snf.Vinv[j] @ GE) % N
+            vec = eb.reduce_vector(vec)
+            if (vec % e).any():
+                raise VerificationFailed(f"H^2 representative is not divisible by exp(G) = {e}")
+            reps.append(ExpCocycle(full, M, fr.expand(vec // e, M)[0]))
+        return H2Description(G, M, N, tuple(factors), tuple(reps), order)
+    return G.cached("h2desc", build)
 
 
 def subgroup_class_representatives(H: Subgroup):

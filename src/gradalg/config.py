@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ParseError
 
@@ -23,10 +23,6 @@ class EngineConfig:
     degree_cap: int = DEFAULT_DEGREE_CAP
     work_budget: int = DEFAULT_WORK_BUDGET
     modulus_override: int | None = None
-
-    def with_overrides(self, **kw) -> "EngineConfig":
-        kw = {k: v for k, v in kw.items() if v is not None}
-        return replace(self, **kw) if kw else self
 
 
 def load_config(path: str | None = None) -> EngineConfig:

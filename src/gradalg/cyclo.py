@@ -8,6 +8,7 @@ always monomials, so the vector path is only hit once elements get added.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .errors import DivisionByZero, FieldMismatch, VerificationFailed
 
@@ -38,29 +39,20 @@ def _poly_divmod_exact(num, den):
     return q
 
 
-_CYCLO_CACHE = {1: (-1, 1)}
-
-
+@cache
 def cyclotomic_polynomial(m):
     """Integer coefficient tuple of the m-th cyclotomic polynomial, low first."""
-    if m in _CYCLO_CACHE:
-        return _CYCLO_CACHE[m]
     poly = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
             poly = _poly_divmod_exact(poly, cyclotomic_polynomial(d))
-    out = tuple(poly)
-    _CYCLO_CACHE[m] = out
-    return out
+    return tuple(poly)
 
 
-_FIELDS = {}
-
-
+@cache
 def cyclo_field(m):
-    if m not in _FIELDS:
-        _FIELDS[m] = CycloField(m)
-    return _FIELDS[m]
+    """The field Q(zeta_m), one object per m."""
+    return CycloField(m)
 
 
 class CycloField:

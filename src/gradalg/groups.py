@@ -4,12 +4,21 @@ Elements are identifiers 0..n-1 and 0 is always the neutral element; every
 downstream module relies on that normalization. Groups are built from small
 spec strings ("C4", "C2xC2", "D4", "Q8", "S3", products of those) or from an
 explicit table, and are validated on construction.
+
+Cache policy: every value derived from a table (exponent, center, subgroup
+list, normalizers, and the cohomology layer's frames, kernels, solvers and
+H^2) is computed once and kept on that group object through
+FiniteGroup.cached, the one store. A value of a subgroup is kept in its
+parent's store under (name, members), so equal Subgroup objects share it;
+Subgroup itself keeps no cache. Nothing is evicted: the store lives and
+dies with the group object, so a fresh relabeling of the same table pays
+the full cost again.
 """
 from __future__ import annotations
 
 import itertools
 import re
-from math import gcd
+from math import lcm
 
 from .config import DEFAULT_ORDER_CAP
 from .errors import AmbientMismatch, NotASubgroup, OrderCapExceeded, SpecMalformed, TableInvalid
@@ -80,14 +89,20 @@ class FiniteGroup:
     def elements(self):
         return range(self.order)
 
+    def cached(self, key, build):
+        """The value stored under key, from build() on the first call.
+
+        If build raises, nothing is stored.
+        """
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     @property
     def is_abelian(self):
-        if "abelian" not in self._cache:
-            mul = self.mul_table
-            self._cache["abelian"] = all(
-                mul[a][b] == mul[b][a] for a in range(self.order) for b in range(a)
-            )
-        return self._cache["abelian"]
+        mul = self.mul_table
+        return self.cached("abelian", lambda: all(
+            mul[a][b] == mul[b][a] for a in range(self.order) for b in range(a)))
 
     def element_order(self, x):
         k, y = 1, x
@@ -98,30 +113,22 @@ class FiniteGroup:
 
     @property
     def exponent(self):
-        if "exponent" not in self._cache:
-            e = 1
-            for x in range(self.order):
-                o = self.element_order(x)
-                e = e * o // gcd(e, o)
-            self._cache["exponent"] = e
-        return self._cache["exponent"]
+        return self.full_subgroup().exponent
 
     @property
     def center(self):
         """Sorted tuple of central element identifiers."""
-        if "center" not in self._cache:
-            mul = self.mul_table
-            self._cache["center"] = tuple(
-                z for z in range(self.order)
-                if all(mul[z][g] == mul[g][z] for g in range(self.order))
-            )
-        return self._cache["center"]
+        mul = self.mul_table
+        return self.cached("center", lambda: tuple(
+            z for z in range(self.order)
+            if all(mul[z][g] == mul[g][z] for g in range(self.order))))
 
+    # a validated table has the whole set and {0} as subgroups
     def full_subgroup(self):
-        return Subgroup(self, range(self.order))
+        return self.cached("full", lambda: Subgroup(self, range(self.order), _validated=True))
 
     def trivial_subgroup(self):
-        return Subgroup(self, (0,))
+        return self.cached("trivial", lambda: Subgroup(self, (0,), _validated=True))
 
     def label_of(self, x):
         return self.labels[x]
@@ -145,7 +152,6 @@ class Subgroup:
         if not _validated:
             self._validate()
         self._pos = {m: i for i, m in enumerate(self.members)}
-        self._cache = {}
 
     def _validate(self):
         if not self.members or self.members[0] != 0:
@@ -188,44 +194,30 @@ class Subgroup:
         """Index of ambient element x inside the sorted member list."""
         return self._pos[x]
 
+    def _cached(self, name, build):
+        return self.parent.cached((name, self.members), build)
+
     @property
     def exponent(self):
-        if "exponent" not in self._cache:
-            e = 1
-            for x in self.members:
-                o = self.parent.element_order(x)
-                e = e * o // gcd(e, o)
-            self._cache["exponent"] = e
-        return self._cache["exponent"]
+        return self._cached("exponent", lambda: lcm(*map(self.parent.element_order, self.members)))
 
     def as_group(self) -> FiniteGroup:
         """The subgroup as a standalone group on identifiers 0..|H|-1 (member positions)."""
-        if "as_group" not in self._cache:
-            mem = self.members
-            pos = self._pos
-            table = [[pos[self.parent.mul(a, b)] for b in mem] for a in mem]
-            labels = [self.parent.label_of(m) for m in mem]
-            g = FiniteGroup(table, name=f"{self.parent.name}|{list(mem)}",
-                            labels=labels, order_cap=None, _validated=True)
-            self._cache["as_group"] = g
-        return self._cache["as_group"]
+        def build():
+            mem, G = self.members, self.parent
+            table = [[self._pos[G.mul(a, b)] for b in mem] for a in mem]
+            return FiniteGroup(table, name=f"{G.name}|{list(mem)}",
+                               labels=[G.label_of(m) for m in mem], order_cap=None,
+                               _validated=True)
+        return self._cached("as_group", build)
 
     def is_central(self):
-        if "central" not in self._cache:
-            G = self.parent
-            self._cache["central"] = all(
-                G.mul(h, g) == G.mul(g, h) for h in self.members for g in range(G.order)
-            )
-        return self._cache["central"]
+        return self._cached("central", lambda: set(self.members) <= set(self.parent.center))
 
     def is_normal(self):
-        if "normal" not in self._cache:
-            G = self.parent
-            mem = set(self.members)
-            self._cache["normal"] = all(
-                G.conj(h, g) in mem for h in self.members for g in range(G.order)
-            )
-        return self._cache["normal"]
+        G = self.parent
+        return self._cached("normal", lambda: all(
+            G.conj(h, g) in self._pos for h in self.members for g in range(G.order)))
 
     def __repr__(self):
         return f"Subgroup({self.parent.name}, {list(self.members)})"
@@ -417,34 +409,33 @@ def closure(G: FiniteGroup, seed):
 
 def enumerate_subgroups(G: FiniteGroup):
     """All subgroups of G, sorted by size then lexicographic member list."""
-    if "subgroups" in G._cache:
-        return G._cache["subgroups"]
-    found = {frozenset({0})}
-    frontier = [frozenset({0})]
-    while frontier:
-        base = frontier.pop()
-        for x in range(1, G.order):
-            if x in base:
-                continue
-            ext = closure(G, base | {x})
-            if ext not in found:
-                found.add(ext)
-                frontier.append(ext)
-    subs = [Subgroup(G, sorted(s), _validated=True) for s in found]
-    subs.sort(key=lambda H: (H.order, H.members))
-    G._cache["subgroups"] = subs
-    return subs
+    def build():
+        found = {frozenset({0})}
+        frontier = [frozenset({0})]
+        while frontier:
+            base = frontier.pop()
+            for x in range(1, G.order):
+                if x in base:
+                    continue
+                ext = closure(G, base | {x})
+                if ext not in found:
+                    found.add(ext)
+                    frontier.append(ext)
+        subs = [Subgroup(G, s, _validated=True) for s in found]
+        subs.sort(key=lambda H: (H.order, H.members))
+        return subs
+    return G.cached("subgroups", build)
 
 
 def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
     if H.parent is not G:
         raise NotASubgroup("subgroup belongs to a different group")
-    key = ("normalizer", H.members)
-    if key not in G._cache:
+
+    def build():
         mem = set(H.members)
         norm = [d for d in range(G.order) if {G.conj(h, d) for h in H.members} == mem]
-        G._cache[key] = Subgroup(G, norm, _validated=True)
-    return G._cache[key]
+        return Subgroup(G, norm, _validated=True)
+    return G.cached(("normalizer", H.members), build)
 
 
 def conjugate_subgroup(H: Subgroup, d) -> Subgroup:

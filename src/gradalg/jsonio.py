@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .config import EngineConfig
 from .cyclo import cyclo_field
 from .errors import ParseError, ValidationError
 from .groups import Subgroup, from_table
@@ -400,25 +399,16 @@ def tower_to_json(rep):
 
 
 class Workspace:
-    """Named groups, cocycles, and algebras sharing one config."""
+    """Named groups, cocycles, and algebras."""
 
-    def __init__(self, groups=None, cocycles=None, algebras=None, config=None):
+    def __init__(self, groups=None, cocycles=None, algebras=None):
         self.groups = dict(groups or {})
         self.cocycles = dict(cocycles or {})
         self.algebras = dict(algebras or {})
-        self.config = config or EngineConfig()
 
 
 def workspace_to_json(ws):
-    cfg = {
-        "order_cap": ws.config.order_cap,
-        "degree_cap": ws.config.degree_cap,
-        "work_budget": ws.config.work_budget,
-    }
-    if ws.config.modulus_override is not None:
-        cfg["modulus_override"] = ws.config.modulus_override
     return {
-        "config": cfg,
         "groups": {name: group_to_json(G) for name, G in sorted(ws.groups.items())},
         "cocycles": {
             name: cocycle_to_json(c, group_ref=_group_name(ws, c.domain.parent))
@@ -439,21 +429,14 @@ def _group_name(ws, G):
 
 
 def parse_workspace(text):
-    """Workspace from JSON text.  Dangling group references fail, cocycles
-    are re-validated, and the config must use known keys."""
+    """Workspace from JSON text.  Unknown keys and dangling group references
+    fail, and cocycles are re-validated."""
     raw = loads(text) if isinstance(text, str) else text
     raw = _expect(raw, "workspace")
-    known = {"config", "groups", "cocycles", "algebras"}
+    known = {"groups", "cocycles", "algebras"}
     bad = sorted(set(raw) - known)
     if bad:
         raise ValidationError(f"workspace: unknown keys {bad}")
-    cfg_raw = raw.get("config", {})
-    cfg_raw = _expect(cfg_raw, "workspace config")
-    try:
-        config = EngineConfig().with_overrides(**cfg_raw)
-    except TypeError:
-        raise ValidationError(
-            f"workspace config: unknown keys {sorted(cfg_raw)}") from None
     groups = {}
     for name, obj in _expect(raw.get("groups", {}), "workspace groups").items():
         groups[name] = parse_group(obj)
@@ -466,4 +449,4 @@ def parse_workspace(text):
     algebras = {}
     for name, obj in _expect(raw.get("algebras", {}), "workspace algebras").items():
         algebras[name] = parse_algebra(obj, groups)
-    return Workspace(groups=groups, cocycles=cocycles, algebras=algebras, config=config)
+    return Workspace(groups=groups, cocycles=cocycles, algebras=algebras)

@@ -397,6 +397,24 @@ def test_pi_space_degree_outside_the_group_exits_2(capsys, files, degs, bad):
         assert code == 2
         assert out == ""
         assert f"degree {bad} is not" in err
+    # an abbreviated flag is a usage error, whatever its value
+    for flag in (["--deg", degs], [f"--deg={degs}"]):
+        code, out, err = run(capsys, "pi", "space", "--algebra", files["signed"], *flag)
+        assert code == 2
+        assert out == ""
+        assert "usage:" in err and "is not" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--work", "ws", "h2", "--group", "C2"),
+    ("h2", "--gr", "C2"),
+    ("pi", "contain", "--a", "plain", "--b", "plain", "--nm", "1"),
+])
+def test_abbreviated_flags_exit_2(capsys, files, argv):
+    code, out, err = run(capsys, *(files.get(a, a) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert "usage:" in err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -496,6 +514,16 @@ def test_config_env_var(capsys, files, tmp_path, monkeypatch):
     code, _, err = run(capsys, "group", "--group", "C8")
     assert code == 2
     assert "error:" in err
+
+
+def test_workspace_with_a_config_exits_2(capsys, files, tmp_path):
+    obj = json.loads(Path(files["ws"]).read_text(encoding="utf-8"))
+    obj["config"] = {"work_budget": 1, "order_cap": 2}
+    ws = tmp_path / "ws_config.json"
+    ws.write_text(json.dumps(obj), encoding="utf-8")
+    code, out, err = run(capsys, "--workspace", str(ws), "h2", "--group", "ws:K")
+    assert (code, out) == (2, "")
+    assert "unknown keys ['config']" in err
 
 
 def test_config_unknown_keys_exit_2(capsys, tmp_path):

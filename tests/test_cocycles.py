@@ -257,6 +257,19 @@ def test_extend_class_checks_the_cocycle_once(monkeypatch, sign_cocycle):
     assert len(calls) == 1
 
 
+def test_warm_extend_round_trip_validates_no_subgroup(monkeypatch):
+    G = product(cyclic(2), cyclic(2), cyclic(2))
+    H = Subgroup(G, (0, 1, 2, 3))
+    sig = all_classes(H)[1]
+    extend_class(sig, G)
+    calls = []
+    real = Subgroup._validate
+    monkeypatch.setattr(Subgroup, "_validate", lambda self: calls.append(self) or real(self))
+    ext = extend_class(sig, G)
+    assert classes_equivalent(restrict(ext, H), sig) is not None
+    assert calls == []
+
+
 def test_class_order_checks_the_cocycle_once(monkeypatch, sign_cocycle):
     calls = []
     real = cocycles.is_cocycle

@@ -248,5 +248,46 @@ class TestSubgroups(unittest.TestCase):
         self.assertFalse(same_subgroup(Subgroup(a, (0, 2)), b.full_subgroup()))
 
 
+class TestCachePolicy(unittest.TestCase):
+    def test_build_runs_once_per_key(self):
+        G = cyclic(4)
+        calls = []
+        build = lambda: calls.append(1) or len(calls)  # noqa: E731
+        self.assertEqual(G.cached("probe", build), 1)
+        self.assertEqual(G.cached("probe", build), 1)
+        self.assertEqual(G.cached(("probe", 2), build), 2)
+        self.assertEqual(len(calls), 2)
+
+    def test_failed_build_stores_nothing(self):
+        G = cyclic(4)
+        calls = []
+
+        def build():
+            calls.append(1)
+            raise ValueError("no value")
+
+        for _ in range(2):
+            with self.assertRaises(ValueError):
+                G.cached("probe", build)
+        self.assertEqual(len(calls), 2)
+        self.assertEqual(G.cached("probe", lambda: 7), 7)
+
+    def test_equal_subgroups_share_their_values(self):
+        G = dihedral(4)
+        H, K = Subgroup(G, (0, 2)), Subgroup(G, (2, 0))
+        self.assertIsNot(H, K)
+        self.assertIs(H.as_group(), K.as_group())
+        self.assertIsNot(Subgroup(cyclic(8), (0, 4)).as_group(),
+                         Subgroup(cyclic(8), (0, 4)).as_group())
+
+    def test_full_and_trivial_subgroups_are_built_once(self):
+        G = quaternion8()
+        self.assertIs(G.full_subgroup(), G.full_subgroup())
+        self.assertIs(G.trivial_subgroup(), G.trivial_subgroup())
+        self.assertEqual(G.full_subgroup().members, tuple(range(8)))
+        self.assertEqual(G.trivial_subgroup().members, (0,))
+        self.assertEqual(G.exponent, G.full_subgroup().exponent)
+
+
 if __name__ == "__main__":
     unittest.main()

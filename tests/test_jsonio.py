@@ -308,7 +308,6 @@ def test_workspace_round_trip_is_byte_identical(klein, sign_cocycle):
     assert jsonio.dumps(jsonio.workspace_to_json(back)) == text
     assert back.cocycles["sig"].domain.parent is back.groups["K"]
     assert back.algebras["mat"].k == 2
-    assert back.config.order_cap == ws.config.order_cap
 
 
 def test_workspace_uses_group_references(klein, sign_cocycle):
@@ -325,9 +324,12 @@ def test_workspace_rejects_unknown_keys(klein, sign_cocycle):
 
 
 def test_workspace_rejects_unknown_config_keys(klein, sign_cocycle):
+    """A workspace carries no config: caps and budgets come from --config
+    and the flags only, so a config section is an unknown key."""
     obj = jsonio.workspace_to_json(_sample_workspace(klein, sign_cocycle))
-    obj["config"]["verbosity"] = 3
-    with pytest.raises(ValidationError, match="config"):
+    assert "config" not in obj
+    obj["config"] = {"order_cap": 64}
+    with pytest.raises(ValidationError, match=r"unknown keys \['config'\]"):
         jsonio.parse_workspace(jsonio.dumps(obj))
 
 
