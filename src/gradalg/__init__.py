@@ -17,6 +17,11 @@ from .cocycles import (
     trivial_cocycle,
 )
 from .config import EngineConfig, load_config
+
+# dense Gauss-Jordan over Q(zeta_M): no library code calls it; the tests use
+# it as their exact oracle and the benchmark's tracer wraps rref and
+# kernel_basis, so it loads with the package
+from . import fieldlin  # noqa: F401
 from .cyclo import CycloField, CycloNumber, cyclo_field
 from .embed import (
     DecisionReport,

@@ -152,10 +152,9 @@ def _satisfies_identity(sig: ExpCocycle) -> bool:
     k = H.order
     mul = _pos_mul(H)
     r = sig.mat
-    idx = np.arange(k)
-    X, Y, Z = np.meshgrid(idx, idx, idx, indexing="ij")
-    lhs = r[X, Y] + r[mul[X, Y], Z]
-    rhs = r[Y, Z] + r[X, mul[Y, Z]]
+    # [x, y, z]: r(x, y) + r(xy, z) against r(y, z) + r(x, yz)
+    lhs = r[:, :, None] + r[mul]
+    rhs = r[None] + r[:, mul]
     return not ((lhs - rhs) % sig.modulus).any()
 
 
@@ -198,12 +197,11 @@ def conjugate_class(sig: ExpCocycle, xi) -> ExpCocycle:
         raise NotACocycle("conjugate_class requires a valid cocycle")
     H = sig.domain
     G = H.parent
-    K = conjugate_subgroup(H, xi)
+    xi = int(xi)
+    K = G.cached(("conj", H.members, xi), lambda: conjugate_subgroup(H, xi))
     mat = np.zeros_like(sig.mat)
     cpos = [K.position(G.conj(a, xi)) for a in H.members]
-    for i, ci in enumerate(cpos):
-        for j, cj in enumerate(cpos):
-            mat[ci, cj] = sig.mat[i, j]
+    mat[np.ix_(cpos, cpos)] = sig.mat
     return ExpCocycle(K, sig.modulus, mat)
 
 

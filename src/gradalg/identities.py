@@ -18,43 +18,54 @@ bounded number of (substitution, permutation) entries: the products of
 all permutations grow prefix by prefix as gathers on the grid, the
 entries of a substitution are grouped into rows by the basis position
 they land on, and one stable sort per step drops each assignment's
-repeated rows, keeping the first substitution of each.  The rows that stay
-independent modulo a prime p = 1 (mod M), with zeta_M sent to an element
-of order M, are independent over Q(zeta_M) and form a minor of at most n!
-rows, which fieldlin row-reduces exactly.  Every other row is then checked
-exactly, in integer arithmetic modulo the M-th cyclotomic polynomial, to be
-killed by the minor's kernel; a row that is not joins the minor.  This is
-the split of Dixon, "Exact solution of linear equations using p-adic
-expansions", Numer. Math. 40 (1982): the prime only picks the pivot rows,
-so the spaces are exact for any prime.
+repeated rows, keeping the first substitution of each.
+
+A kernel is lifted from one prime, in the manner of Dixon, "Exact solution
+of linear equations using p-adic expansions", Numer. Math. 40 (1982), and
+Wang, Guy and Davenport, "P-adic reconstruction of rational numbers",
+SIGSAM Bull. 16 (1982).  The rows are row-reduced modulo a prime
+p = 1 (mod M) under each of the phi(M) ring maps zeta_M -> g^j (g of order M,
+j a unit mod M), stacked in one array; the pivot entries of the phi(M)
+reduced forms are interpolated to power-basis coefficients and each is
+reconstructed as a rational.  The lift is then checked exactly, in integer
+arithmetic modulo the M-th cyclotomic polynomial, to kill every row.  Rows
+independent modulo p are independent over Q(zeta_M), so the rank is at
+least the modular rank r; the width - r lifted vectors are independent (an
+identity block on the free columns) and kill every row, so it is at most r.
+So the modular pivots are the exact row-reduced form's, and the lift is the
+canonical kernel basis: one vector per free column, with a 1 there and
+support on the pivots left of it.  When the maps disagree on the pivots, a
+reconstruction fails or the check finds a row the lift does not kill,
+another prime is added by CRT (a prime with earlier pivots replaces the
+ones before it), so the spaces are exact for any prime.
 
 A row space depends only on its set of distinct rows, and many degree
-assignments share one, so a call reduces each (width, row set) once; a
-containment shares these reductions between its two algebras, which live
-over one field, and decides each pair of row sets once.  When a pair is not
-contained, one exact check of B's rows against A's whole kernel picks the
-separating kernel vector and the rows of B it does not kill, and every
-assignment with that pair takes its witness row from those rows, so the
-witnesses need no exact work per assignment.  Nothing is kept between
-calls, except each field's table of x^t modulo Phi_m.
-
-Containment compares row spaces: every identity of A is one of B exactly
-when the rows of B lie in the row space of A.
+assignments share one, so a call lifts each (width, row set) once and keeps
+the kernel in integer form: per vector, integer polynomials for its
+coordinates and one denominator.  A containment shares these kernels
+between its two algebras, which live over one field.  Every identity of A
+is one of B exactly when A's kernel kills every row of B, so each pair of
+row sets is decided by one kill mask; when it is not contained, the mask
+column of the first vector B does not kill gives the witness row of every
+assignment with that pair, and the value of the separating polynomial
+there is summed from the grid's products in exponent form.  Only the
+identity spaces returned and the separating polynomials become CycloNumber
+vectors.  Nothing is kept between calls, except each field's table of x^t
+modulo Phi_M and the primes.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
-from math import factorial, isqrt, lcm, prod
-from typing import NamedTuple
+from math import factorial, gcd, isqrt, lcm, prod
 
 import numpy as np
 
-from . import fieldlin
 from .config import EngineConfig
-from .cyclo import cyclo_field
+from .cyclo import CycloNumber, cyclo_field
 from .errors import (
     AlgebraMismatch,
     AmbientMismatch,
@@ -65,6 +76,7 @@ from .errors import (
     ValidationError,
     VerificationFailed,
 )
+from .graded import GradedElement
 from .groups import same_group
 
 
@@ -188,10 +200,10 @@ class _Grid:
     stands for a zero left factor, so a product position -1 reads it.
 
     comps maps each degree of the support to the positions of its basis, in
-    basis_keys() order; table holds the same lists as padded rows, index
-    the row of each degree, and sizes their lengths, with a last row of
-    size 0 for a degree outside the support.  The two tables hold dim**2
-    entries each, so a grid costs O(dim**2) memory.
+    basis_keys() order; table holds the same lists as padded rows, row_of
+    the row of each element of the grading group, and sizes their lengths,
+    with a last row of size 0 for a degree outside the support.  The two
+    tables hold dim**2 entries each, so a grid costs O(dim**2) memory.
     """
 
     def __init__(self, algebra):
@@ -203,7 +215,8 @@ class _Grid:
         self.comps = {}
         for pos, key in enumerate(self.keys):
             self.comps.setdefault(algebra.degree_of_key(key), []).append(pos)
-        self.index = {g: i for i, g in enumerate(self.comps)}
+        self.row_of = np.full(algebra.ambient.order, len(self.comps), dtype=np.int64)
+        self.row_of[list(self.comps)] = np.arange(len(self.comps))
         self.sizes = np.array([len(c) for c in self.comps.values()] + [0], dtype=np.int64)
         self.table = np.zeros((len(self.sizes), self.sizes.max()), dtype=np.int64)
         for i, c in enumerate(self.comps.values()):
@@ -225,21 +238,29 @@ def _prefix_steps(n):
     return tuple(steps)
 
 
+def _products(grid, subst):
+    """(pos, exp): e_w(1) ... e_w(n) = zeta_M^exp e_pos for the
+    substitutions subst (one row of basis positions each) and every
+    permutation w in lexicographic order, gathered from the grid prefix by
+    prefix; pos is -1 for a zero product."""
+    pos, exp = subst, np.zeros_like(subst)
+    for parent, var in _prefix_steps(subst.shape[1]):
+        left, right = pos[:, parent], subst[:, var]
+        pos, exp = grid.prod[left, right], exp[:, parent] + grid.exp[left, right]
+    return pos, exp
+
+
 def _evaluation_rows(grid, subst, m):
     """Rows of the evaluation matrix in exponent form for the substitutions
     subst (one row of basis positions each), and the substitution of each
     row.
 
-    The products e_w(1) ... e_w(n) for every substitution and permutation w
-    are gathered from the grid prefix by prefix.  A nonzero product lands on
-    one basis position; the row of (substitution, landing position) holds
-    zeta_m^e as e at the columns that land there and -1 elsewhere, scaled
-    to start with zeta^0.  Rows come by substitution, then by first column.
+    A nonzero product lands on one basis position; the row of
+    (substitution, landing position) holds zeta_m^e as e at the columns
+    that land there and -1 elsewhere, scaled to start with zeta^0.  Rows
+    come by substitution, then by first column.
     """
-    pos, exp = subst, np.zeros_like(subst)
-    for parent, var in _prefix_steps(subst.shape[1]):
-        left, right = pos[:, parent], subst[:, var]
-        pos, exp = grid.prod[left, right], exp[:, parent] + grid.exp[left, right]
+    pos, exp = _products(grid, subst)
     count, width = pos.shape
     at = np.arange(count)[:, None]
     # lead[s, c]: the first column of substitution s that lands where c does
@@ -262,26 +283,34 @@ def _evaluation_rows(grid, subst, m):
 
 
 def _distinct_rows(E, subst, owner, count):
-    """(rows, substs, sorted rows, bounds): the distinct rows of E for each
-    of the count owners, in order of first occurrence and each with the
-    substitution of that occurrence, and sorted.  Owner i's rows are
-    [bounds[i], bounds[i + 1]) of each; owners do not decrease down E."""
+    """(rows, substs, sorted, rank, bounds) for the count owners of the rows
+    of E; owners do not decrease down E.
+
+    rows and substs are each owner's distinct rows in order of first
+    occurrence, with the substitution of that occurrence; sorted holds the
+    same rows sorted, and rank[i] is the place of rows[i] among its owner's
+    sorted rows.  Owner i's rows are [bounds[i], bounds[i + 1]) of each."""
     # a stable sort by owner, then row, keeps first occurrences first
     order = np.lexsort((*E.T[::-1], owner))
     rows, owners = E[order], owner[order]
     new = np.ones(len(order), dtype=bool)
     new[1:] = (owners[1:] != owners[:-1]) | (rows[1:] != rows[:-1]).any(axis=1)
     srt = order[new]
-    occ = np.sort(srt)
+    where = np.argsort(srt, kind="stable")
+    occ = srt[where]
     bounds = np.searchsorted(owner[occ], np.arange(count + 1))
-    return E[occ], subst[occ], E[srt], bounds
+    rank = where - np.repeat(bounds[:-1], np.diff(bounds))
+    return E[occ], subst[occ], E[srt], rank, bounds
 
 
-def _assignment_rows(grid, assignments, n, m):
-    """For each degree assignment of degree n, in order: the distinct rows
-    of its evaluation matrix in exponent form, in order of first occurrence,
-    the first basis substitution (as basis positions) that gives each, and
-    the key (width, sorted rows as bytes) of the row set.
+def _assignment_rows(grid, degs, m):
+    """The evaluation rows, in exponent form, of the degree assignments in
+    the rows of the array degs, yielded once per step for the assignments
+    the step finishes, in order, as (sorted, substs, rank, bounds): the
+    assignment i of the step has the distinct rows sorted[bounds[i]:
+    bounds[i + 1]], sorted, and its first basis substitution (as basis
+    positions) of each of them in substs over the same span, in order of
+    first occurrence, with rank giving the place of that row in sorted.
 
     The substitutions of all assignments, each in itertools.product order
     over its components, are laid end to end and built in steps of about
@@ -289,9 +318,9 @@ def _assignment_rows(grid, assignments, n, m):
     The distinct rows of an assignment that a step cuts are carried to the
     head of the next step, which keeps first occurrences.
     """
+    count, n = degs.shape
     width = factorial(n)
-    comp = np.array([[grid.index.get(g, -1) for g in degs] for degs in assignments],
-                    dtype=np.int64).reshape(len(assignments), n)
+    comp = grid.row_of[degs]
     radix = grid.sizes[comp]
     # itertools.product order: the last variable runs fastest
     stride = np.ones_like(radix)
@@ -312,17 +341,17 @@ def _assignment_rows(grid, assignments, n, m):
         E, of = _evaluation_rows(grid, subst, m)
         # assignments done .. run_on - 1 end in this step; run_on runs on
         run_on = int(np.searchsorted(offsets, hi, side="right")) - 1
-        rows, substs, ordered, bounds = _distinct_rows(
+        rows, substs, ordered, rank, bounds = _distinct_rows(
             np.concatenate([rows[carried:], E]),
             np.concatenate([substs[carried:], subst[of]]),
             np.concatenate([np.zeros(len(rows) - carried, dtype=np.int64), owner[of] - done]),
             run_on - done + 1)
-        for i in range(run_on - done):
-            seg = slice(bounds[i], bounds[i + 1])
-            yield rows[seg], substs[seg], (width, ordered[seg].tobytes())
-        carried, done = bounds[-2], run_on
-    for _ in range(done, len(assignments)):
-        yield rows[:0], substs[:0], (width, b"")
+        carried = bounds[-2]
+        if run_on > done:
+            yield ordered[:carried], substs[:carried], rank[:carried], bounds[:-1]
+        done = run_on
+    if done < count:
+        yield rows[:0], substs[:0], np.zeros(0, dtype=np.int64), np.zeros(count - done + 1, dtype=np.int64)
 
 
 def _is_prime(p):
@@ -330,12 +359,16 @@ def _is_prime(p):
 
 
 @lru_cache(maxsize=None)
-def _prime_for(m):
-    """(p, g): the largest prime p < 2**31 with p = 1 (mod m), and an
-    element g of order m modulo p, so that zeta_m -> g is a ring map."""
+def _prime(m, i):
+    """(p, g): the i-th largest prime p < 2**31 with p = 1 (mod m), from
+    i = 0, and an element g of order m modulo p, so that zeta_m -> g is a
+    ring map.  p < 2**31 keeps every product of two residues inside int64."""
     p = (2**31 - 2) // m * m + 1
-    while not _is_prime(p):
+    for _ in range(i + 1):
+        while not _is_prime(p):
+            p -= m
         p -= m
+    p += m
     primes = [q for q in range(2, m + 1) if m % q == 0 and _is_prime(q)]
     h = 2
     while True:
@@ -345,34 +378,192 @@ def _prime_for(m):
         h += 1
 
 
-def _pivot_rows(E, m):
-    """Indices of the rows of E (exponent form) that are independent modulo
-    the prime for m, taken greedily in order: at most width of them.
+def _inverse_mod(mat, p):
+    """The inverse of the invertible square matrix mat (lists of ints)
+    modulo the prime p."""
+    size = len(mat)
+    rows = [list(r) + [int(i == j) for j in range(size)] for i, r in enumerate(mat)]
+    for c in range(size):
+        s = next(r for r in range(c, size) if rows[r][c] % p)
+        rows[c], rows[s] = rows[s], rows[c]
+        inv = pow(rows[c][c], p - 2, p)
+        rows[c] = [x * inv % p for x in rows[c]]
+        for r in range(size):
+            if r != c and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[c])]
+    return [r[size:] for r in rows]
 
-    Rows independent modulo p are independent over Q(zeta_m).  The search
-    row-reduces the transpose, whose pivot columns are those rows; p < 2**31
-    keeps every product of two residues below 2**62, inside int64.
+
+@lru_cache(maxsize=None)
+def _maps(m, p, g):
+    """(powers, inverse) for the phi(m) ring maps zeta_m -> g^j modulo p, j
+    a unit modulo m: powers[k, e] = g^(j_k e) for e < m, with a last
+    column 0 that an absent entry (-1) picks; inverse is the inverse of the
+    Vandermonde matrix V[k, i] = g^(j_k i), i < phi(m), and takes the images
+    of a field element under the maps to its power-basis coefficients."""
+    units = [j for j in range(m) if gcd(j, m) == 1]
+    powers = np.array([[pow(g, j * e, p) for e in range(m)] + [0] for j in units],
+                      dtype=np.int64)
+    vandermonde = [[pow(g, j * i, p) for i in range(len(units))] for j in units]
+    return powers, np.array(_inverse_mod(vandermonde, p), dtype=np.int64)
+
+
+def _modular_rref(E, m, p, g):
+    """(pivots, coeffs) of the rows E (exponent form) modulo p, or None
+    when the phi(m) maps give different pivots.
+
+    The images of E under the maps are row-reduced together, as one stacked
+    array.  coeffs[i, a, b] is power-basis coefficient i, modulo p, of the
+    entry at pivot a of the kernel vector of the b-th free column: minus
+    the reduced form's entry there.
     """
-    p, g = _prime_for(m)
-    # a zero entry, stored as -1, picks the trailing 0
-    powers = np.array([pow(g, e, p) for e in range(m)] + [0], dtype=np.int64)
-    A = powers[E].T.copy()
-    width = A.shape[0]
-    picked = []
-    r = c = 0
-    while r < width:
-        hit = np.flatnonzero(A[r:, c:].any(axis=0))
-        if not hit.size:
+    powers, inverse = _maps(m, p, g)
+    A = powers[:, E]
+    maps, rows, width = A.shape
+    at = np.arange(maps)
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        if r == rows:
             break
-        c += int(hit[0])
-        s = r + int(np.flatnonzero(A[r:, c])[0])
-        A[[r, s]] = A[[s, r]]
-        A[r, c:] = A[r, c:] * pow(int(A[r, c]), p - 2, p) % p
-        A[r + 1:, c:] = (A[r + 1:, c:] - A[r + 1:, c, None] * A[r, c:]) % p
-        picked.append(c)
-        r += 1
-        c += 1
-    return picked
+        nonzero = A[:, r:, c] != 0
+        hit = nonzero.any(axis=1)
+        if not hit.any():
+            continue
+        if not hit.all():
+            return None
+        s = r + nonzero.argmax(axis=1)
+        top = A[at, s]
+        A[at, s] = A[:, r].copy()
+        scale = np.array([pow(int(x), p - 2, p) for x in top[:, c]], dtype=np.int64)
+        top = top * scale[:, None] % p
+        A[:, r] = top
+        col = A[:, :, c].copy()
+        col[:, r] = 0
+        A[:, :, c:] = (A[:, :, c:] - col[:, :, None] * top[:, None, c:]) % p
+        pivots.append(c)
+    free = [c for c in range(width) if c not in pivots]
+    images = A[:, :len(pivots)][:, :, free]
+    coeffs = np.zeros_like(images)
+    for k in range(maps):
+        coeffs = (coeffs + inverse[:, k, None, None] * images[k]) % p
+    return pivots, (-coeffs) % p
+
+
+def _rational(x, modulus, bound):
+    """The fraction a/b with a = b x (mod modulus), |a| <= bound and
+    0 < b <= bound, as (a, b), or None (Wang's half-extended Euclid)."""
+    r0, r1, s0, s1 = modulus, x, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if not s1 or abs(s1) > bound:
+        return None
+    a, b = (r1, s1) if s1 > 0 else (-r1, -s1)
+    return (a, b) if gcd(a, b) == 1 else None
+
+
+def _scalar(field, coeffs, den):
+    """sum_i coeffs[i] zeta^i / den, for integer power-basis coefficients."""
+    hit = [i for i, c in enumerate(coeffs) if c]
+    if len(hit) == 1:
+        # c x^i with i < phi is the monomial c zeta^i, as field.element gives it
+        return CycloNumber(field, Fraction(coeffs[hit[0]], den), hit[0])
+    return field.element([Fraction(c, den) for c in coeffs])
+
+
+class _Kernel:
+    """A row set's canonical kernel basis in integer form: vector v is
+    polys[v] / dens[v], where polys[v, j] holds the integer coefficients of
+    coordinate j over the power basis, padded with zeros to m.  Kernels
+    compare and hash by identity, one per row set per call."""
+
+    __slots__ = ("polys", "dens", "dimension", "_vectors")
+
+    def __init__(self, polys, dens):
+        self.polys = polys
+        self.dens = dens
+        self.dimension = len(dens)
+        self._vectors = {}
+
+    def vector(self, v, field):
+        """The nonzero coordinates of vector v as {column: CycloNumber},
+        built once."""
+        if v not in self._vectors:
+            den, phi = self.dens[v], field.degree
+            polys = self.polys[v, :, :phi]
+            out = {}
+            for j in np.flatnonzero(polys.any(axis=1)).tolist():
+                out[j] = _scalar(field, polys[j].tolist(), den)
+            self._vectors[v] = out
+        return self._vectors[v]
+
+
+def _reconstruct(pivots, images, width, field):
+    """The kernel whose pivot entries have the CRT images (p, coeffs) of
+    _modular_rref, or None when a coefficient has no rational with
+    numerator and denominator below sqrt(P / 2), P the product of the
+    primes.  A residue within that bound of 0 or P is an integer as it
+    stands."""
+    m, phi = field.modulus, field.degree
+    if len(images) == 1:
+        modulus, X = images[0]
+    else:
+        modulus = prod(p for p, _ in images)
+        X = np.zeros(images[0][1].shape, dtype=object)
+        for p, coeffs in images:
+            q = modulus // p
+            X = (X + coeffs.astype(object) * (q * pow(q, -1, p))) % modulus
+    bound = isqrt(modulus // 2)
+    num = np.where(X <= bound, X, X - modulus)
+    den = np.ones(X.shape, dtype=X.dtype)
+    for at in zip(*np.nonzero((X > bound) & (X < modulus - bound))):
+        frac = _rational(int(X[at]), modulus, bound)
+        if frac is None:
+            return None
+        num[at], den[at] = frac
+    free = [c for c in range(width) if c not in pivots]
+    dens = [lcm(*den[:, :, b].ravel().tolist()) for b in range(len(free))]
+    scaled = num
+    if X.dtype == object or max(dens, default=1) > 1:
+        scaled = num.astype(object) * (np.array(dens, dtype=object) // den.astype(object))
+        if max([*dens, *np.abs(scaled).ravel().tolist()], default=0) < 2**62:
+            scaled = scaled.astype(np.int64)
+    polys = np.zeros((len(free), width, m), dtype=scaled.dtype)
+    polys[np.arange(len(free)), free, 0] = dens
+    polys[:, pivots, :phi] = scaled.transpose(2, 1, 0)
+    return _Kernel(polys, dens)
+
+
+# lifts that add primes past this many raise; 64 primes of 31 bits
+# reconstruct every numerator and denominator below 2**990
+_MAX_PRIMES = 64
+
+
+def _lift(E, width, field):
+    """The canonical kernel of the rows E (exponent form, width columns),
+    lifted from as many primes as it takes and checked exactly."""
+    m = field.modulus
+    if not len(E):
+        return _Kernel(np.eye(width, dtype=np.int64)[:, :, None] * np.eye(1, m, dtype=np.int64),
+                       [1] * width)
+    best, images = None, []
+    for i in range(_MAX_PRIMES):
+        p, g = _prime(m, i)
+        out = _modular_rref(E, m, p, g)
+        if out is None:
+            continue
+        pivots, coeffs = out
+        if best is None or pivots + [width] < best + [width]:
+            best, images = pivots, []
+        elif pivots != best:
+            continue
+        images.append((p, coeffs))
+        kernel = _reconstruct(best, images, width, field)
+        if kernel is not None and not _not_killed(E, kernel.polys, field).any():
+            return kernel
+    raise VerificationFailed(f"no kernel lift of {len(E)} rows from {_MAX_PRIMES} primes")
 
 
 @lru_cache(maxsize=None)
@@ -385,24 +576,9 @@ def _residues(field):
     return rows, max(abs(x) for row in rows for x in row)
 
 
-def _not_killed(E, vectors, field):
-    """Mask over the rows r of E (exponent form) and the vectors v: whether
-    sum_j zeta_m^E[r, j] v_j != 0 in the field Q(zeta_m), decided exactly.
-
-    Each v is scaled to integer polynomials v_j(x) of degree < phi(m); row r
-    sums the rotations x^E[r, j] v_j(x) in Z[x]/(x^m - 1), which is then
-    reduced modulo Phi_m by the field's table of residues.  int64 is used
-    only when the bound on every sum and product is below 2**63, else
-    Python ints.  _reduce asks whether any kernel vector misses a row;
-    _separator scans a pair of row sets once, and its mask for the
-    separating vector gives the witness rows of every assignment with that
-    pair.
-    """
-    rows, width = E.shape
-    if not vectors or not rows:
-        return np.zeros((rows, len(vectors)), dtype=bool)
-    m = field.modulus
-    residues, small = _residues(field)
+def _integer_form(vectors, m):
+    """CycloNumber vectors as the integer polynomials of _Kernel: each
+    vector scaled by the lcm of its coefficients' denominators."""
     polys = []
     for v in vectors:
         coeffs = [c.coeffs if not c.is_zero() else () for c in v]
@@ -410,70 +586,99 @@ def _not_killed(E, vectors, field):
         polys.append([[q.numerator * (den // q.denominator) for q in cs] + [0] * (m - len(cs))
                       for cs in coeffs])
     big = max(abs(x) for P in polys for vj in P for x in vj)
-    dtype = np.int64 if m * width * big * small < 2**63 else object
-    K = np.array(polys, dtype=dtype)
-    total = np.zeros((rows, len(vectors), m), dtype=dtype)
-    for j in range(width):
-        live = np.flatnonzero(E[:, j] >= 0)
-        # coefficient t of x^e v_j(x) modulo x^m - 1 is coefficient t - e of v_j
-        shift = (np.arange(m)[None, :] - E[live, j, None]) % m
-        total[live] += K[:, j][:, shift].transpose(1, 0, 2)
-    reduced = total @ np.array(residues, dtype=dtype)
-    return (reduced != 0).any(axis=2)
+    return np.array(polys, dtype=np.int64 if big < 2**62 else object)
 
 
-class _RowSpace(NamedTuple):
-    """The row space of an evaluation matrix: its key (width, sorted
-    distinct rows as bytes), rref and canonical kernel basis, and the
-    distinct rows in exponent form with, per row, the first basis
-    substitution (as basis positions) that gives it."""
-
-    key: tuple
-    reduced: list
-    pivots: list
-    kernel: list
-    rows: np.ndarray
-    substs: np.ndarray
+def _dtype(m, width, polys, field):
+    """int64 when every sum and product of a kill check or witness value
+    on polys stays below 2**63, else object (Python ints)."""
+    big = int(np.abs(polys).max()) if polys.size else 0
+    return np.int64 if m * width * big * _residues(field)[1] < 2**63 else object
 
 
-def _row_spaces(grid, assignments, n, field, reductions):
-    """Exact row spaces of the evaluation matrices at degree assignments of
-    degree n, one per assignment, in order.
+def _not_killed(E, vectors, field):
+    """Mask over the rows r of E (exponent form) and the vectors v: whether
+    sum_j zeta_m^E[r, j] v_j != 0 in the field Q(zeta_m), decided exactly.
 
-    A row space depends only on its set of rows (and, for the empty set,
-    on the width), so reductions maps that key to (reduced, pivots,
-    kernel) and each set is reduced once per dict.  The rows and
-    substitutions stay per assignment.
+    vectors is a kernel's polys array or a list of CycloNumber vectors,
+    each then scaled to integer polynomials v_j(x).  Row r sums the
+    rotations x^E[r, j] v_j(x) in Z[x]/(x^m - 1), as one product of its
+    one-hot (column, exponent) indicator with every vector's rotations,
+    which is then reduced modulo Phi_m by the field's table of residues.
+    int64 is used only when the bound on every sum and product is below
+    2**63, else Python ints.
     """
-    for E, substs, key in _assignment_rows(grid, assignments, n, field.modulus):
-        if key not in reductions:
-            reductions[key] = _reduce(E, field)
-        yield _RowSpace(key, *reductions[key], E, substs)
+    rows, width = E.shape
+    if not len(vectors) or not rows:
+        return np.zeros((rows, len(vectors)), dtype=bool)
+    m = field.modulus
+    K = vectors if isinstance(vectors, np.ndarray) else _integer_form(vectors, m)
+    dtype = _dtype(m, width, K, field)
+    at, col = np.nonzero(E >= 0)
+    onehot = np.zeros((rows, width * m), dtype=dtype)
+    onehot[at, col * m + E[at, col]] = 1
+    # rotations[j, e, v, t]: coefficient t of x^e v_j(x) modulo x^m - 1
+    shift = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m
+    rotations = K.astype(dtype)[:, :, shift].transpose(1, 2, 0, 3).reshape(width * m, -1)
+    total = (onehot @ rotations).reshape(rows, len(K), m)
+    return (total @ np.array(_residues(field)[0], dtype=dtype) != 0).any(axis=2)
 
 
-def _reduce(E, field):
-    """(reduced, pivots, kernel) of the rows E (exponent form), exactly.
+def _witness_values(grid, separated, algebra):
+    """The value in algebra (over the grid's field) of each separating
+    vector at its witness substitution, for separated = [(degs, kernel,
+    index, subst, ...)], one GradedElement each: sum_w c_w zeta^e_w at each
+    landing position, from the grid's products.  A zero value raises
+    VerificationFailed."""
+    if not separated:
+        return []
+    field = algebra.field
+    m, phi = field.modulus, field.degree
+    substs = np.array([entry[3] for entry in separated])
+    polys = np.array([kernel.polys[v] for _, kernel, v, *_ in separated])
+    pos, exp = _products(grid, substs)
+    count, width = pos.shape
+    dim = len(grid.keys)
+    dtype = _dtype(m, width, polys, field)
+    shift = (np.arange(m)[None, None, :] - exp[:, :, None]) % m
+    rotated = polys.astype(dtype)[np.arange(count)[:, None, None], np.arange(width)[None, :, None],
+                                  shift]
+    slot = np.where(pos >= 0, np.arange(count)[:, None] * dim + pos, count * dim)
+    total = np.zeros((count * dim + 1, m), dtype=dtype)
+    np.add.at(total, slot.ravel(), rotated.reshape(-1, m))
+    value = (total[:-1] @ np.array(_residues(field)[0], dtype=dtype)).reshape(count, dim, phi)
+    out = []
+    for (degs, kernel, v, *_), coeffs in zip(separated, value):
+        den = kernel.dens[v]
+        terms = {grid.keys[p]: _scalar(field, coeffs[p].tolist(), den)
+                 for p in np.flatnonzero(coeffs.any(axis=1)).tolist()}
+        if not terms:
+            raise VerificationFailed(f"separating witness evaluates to zero at {degs}")
+        out.append(GradedElement(algebra, terms))
+    return out
 
-    The rows picked modulo a prime form the minor that fieldlin reduces;
-    every row left out is then checked to be killed by the minor's kernel,
-    and the first that is not joins the minor.  So the result is exact for
-    any prime, and canonical: it does not depend on the order of the rows.
-    """
-    width = E.shape[1]
-    minor = _pivot_rows(E, field.modulus)
-    zero = field.zero()
-    while True:
-        reduced, pivots = fieldlin.rref(
-            [[field.root(e) if e >= 0 else zero for e in E[i].tolist()] for i in minor],
-            field)
-        kernel = fieldlin.kernel_basis(reduced, pivots, width, field)
-        out = np.ones(len(E), dtype=bool)
-        out[minor] = False
-        out = np.flatnonzero(out)
-        missed = out[_not_killed(E[out], kernel, field).any(axis=1)]
-        if not missed.size:
-            return reduced, pivots, kernel
-        minor.append(int(missed[0]))
+
+def _row_sets(grid, degs, field, kernels):
+    """Per step of _assignment_rows over the assignments degs: the step,
+    and the kernel of each assignment it finishes.
+
+    A kernel depends only on the set of rows (and, for the empty set, on
+    the width), so kernels maps a width to a dict from the sorted rows as
+    bytes to the kernel, and each set is lifted once per dict."""
+    width = factorial(degs.shape[1])
+    table = kernels.setdefault(width, {})
+    for step in _assignment_rows(grid, degs, field.modulus):
+        ordered, _, _, bounds = step
+        blob = ordered.tobytes()
+        size = width * ordered.itemsize
+        found = []
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            key = blob[lo * size:hi * size]
+            kernel = table.get(key)
+            if kernel is None:
+                kernel = table[key] = _lift(ordered[lo:hi], width, field)
+            found.append(kernel)
+        yield step, found
 
 
 def _check_cap(n, config):
@@ -494,19 +699,17 @@ def identity_space(algebra, assignment, config=None):
     for g in assignment.degs:
         if not 0 <= g < algebra.ambient.order:
             raise ValidationError(f"degree {g} is not an element of the grading group")
-    (space,) = _row_spaces(_Grid(algebra), [assignment.degs], assignment.n,
-                           algebra.field, {})
-    kernel = space.kernel
+    field = algebra.field
+    degs = np.array([assignment.degs], dtype=np.int64)
+    (kernel,) = [k for _, found in _row_sets(_Grid(algebra), degs, field, {}) for k in found]
     perms = _perms(assignment.n)
-    basis = tuple(_poly(assignment, perms, v, algebra.field) for v in kernel)
+    basis = tuple(_poly(assignment, perms, kernel.vector(v, field), field)
+                  for v in range(kernel.dimension))
     return IdentitySpace(algebra=algebra, assignment=assignment, basis=basis)
 
 
 def _poly(assignment, perms, vec, field):
-    return GradedMultilinearPoly(
-        assignment,
-        {perms[i]: c for i, c in enumerate(vec) if not c.is_zero()},
-        field)
+    return GradedMultilinearPoly(assignment, {perms[j]: c for j, c in vec.items()}, field)
 
 
 @dataclass(frozen=True)
@@ -542,6 +745,20 @@ class ContainmentReport:
         return None
 
 
+def _over_budget(supports, grids, n, budget):
+    """(degs, over): every degree assignment of degree n over supports, in
+    itertools.product order, as the rows of an array, and whether its
+    estimated row count, n! times the larger of its substitution counts in
+    the grids (at least 1), exceeds budget."""
+    count = len(supports)
+    at = np.indices((count,) * n).reshape(n, -1).T
+    sizes = [grid.sizes[grid.row_of[supports]] for grid in grids]
+    big = max(int(s.max()) for s in sizes) ** n * factorial(n) >= 2**62
+    rows = [s.astype(object if big else np.int64)[at].prod(axis=1) for s in sizes]
+    over = factorial(n) * np.maximum(np.maximum(*rows), 1) > budget
+    return supports[at], over.astype(bool)
+
+
 def multilinear_containment(A, B, n_max, config=None):
     """Compare multilinear identities: is every identity of A (first
     argument) an identity of B, degree by degree up to n_max?
@@ -549,11 +766,11 @@ def multilinear_containment(A, B, n_max, config=None):
     Assignments run over the union of the two supports.  An assignment
     whose estimated row count exceeds the work budget is skipped and
     listed, and a report with skipped assignments is not contained.  The
-    identities of A lie among those of B exactly when the
-    evaluation rows of B lie in the row space of A's.  A non-contained
-    assignment records the first basis polynomial of A's space that some
-    row of B does not kill, together with the first basis substitution in
-    B where it does not vanish.
+    identities of A lie among those of B exactly when A's kernel kills
+    every evaluation row of B.  A non-contained assignment records the
+    first basis polynomial of A's space that some row of B does not kill,
+    together with the first basis substitution in B where it does not
+    vanish.
     """
     config = config or EngineConfig()
     if n_max < 1:
@@ -564,71 +781,59 @@ def multilinear_containment(A, B, n_max, config=None):
     field = cyclo_field(lcm(A.field.modulus, B.field.modulus))
     B2 = B.with_field(field)
     grid_a, grid_b = _Grid(A.with_field(field)), _Grid(B2)
-    dims_a = {g: len(pos) for g, pos in grid_a.comps.items()}
-    dims_b = {g: len(pos) for g, pos in grid_b.comps.items()}
-    supports = sorted(set(dims_a) | set(dims_b))
-    # both algebras live over field, so they share one reduction per row set
-    reductions = {}
-    # (key of A, key of B) -> None when contained, else the index of A's
-    # first separating kernel vector and the rows of B (as bytes) it does
-    # not kill
+    supports = np.array(sorted(set(grid_a.comps) | set(grid_b.comps)), dtype=np.int64)
+    # both algebras live over field, so they share one kernel per row set
+    kernels = {}
+    # (kernel of A, kernel of B) -> None when contained, else the index of
+    # A's first separating kernel vector and the mask of B's sorted rows it
+    # does not kill
     separators = {}
     verdicts = []
     skipped = []
     for n in range(1, n_max + 1):
         perms = _perms(n)
-        todo = []
-        for degs in itertools.product(supports, repeat=n):
-            ra = prod(dims_a.get(g, 0) for g in degs)
-            rb = prod(dims_b.get(g, 0) for g in degs)
-            if factorial(n) * max(ra, rb, 1) > config.work_budget:
-                skipped.append(degs)
-            else:
-                todo.append(degs)
-        for degs, a, b in zip(todo, _row_spaces(grid_a, todo, n, field, reductions),
-                              _row_spaces(grid_b, todo, n, field, reductions)):
-            dim_source = len(perms) - len(a.reduced)
-            dim_target = len(perms) - len(b.reduced)
-            if (a.key, b.key) not in separators:
-                separators[a.key, b.key] = _separator(a, b, field, degs)
-            sep = separators[a.key, b.key]
-            if sep is None:
-                verdicts.append(AssignmentVerdict(
-                    degs=tuple(degs), contained=True,
-                    dim_source=dim_source, dim_target=dim_target))
-                continue
-            index, missed = sep
-            row = next(i for i, r in enumerate(b.rows) if r.tobytes() in missed)
-            separating = _poly(DegreeAssignment(degs), perms, a.kernel[index], field)
-            subst = tuple(grid_b.keys[pos] for pos in b.substs[row].tolist())
-            value = evaluate(separating, B2, tuple(B2.basis_element(k) for k in subst))
-            if value.is_zero():
-                raise VerificationFailed(
-                    f"separating witness evaluates to zero at {tuple(degs)}")
-            verdicts.append(AssignmentVerdict(
-                degs=tuple(degs), contained=False,
-                dim_source=dim_source, dim_target=dim_target,
-                separating=separating,
-                witness_substitution=subst,
-                witness_value=value))
+        assignments, over = _over_budget(supports, (grid_a, grid_b), n, config.work_budget)
+        skipped.extend(map(tuple, assignments[over].tolist()))
+        todo = assignments[~over]
+        sources = [k for _, found in _row_sets(grid_a, todo, field, kernels) for k in found]
+        pairs = zip(map(tuple, todo.tolist()), sources)
+        for (ordered, substs, rank, bounds), found in _row_sets(grid_b, todo, field, kernels):
+            separated = []
+            for lo, hi, kb in zip(bounds[:-1].tolist(), bounds[1:].tolist(), found):
+                degs, ka = next(pairs)
+                sep = separators.get((ka, kb), False)
+                if sep is False:
+                    sep = separators[ka, kb] = _separator(ka, ordered[lo:hi], field)
+                if sep is None:
+                    verdicts.append(AssignmentVerdict(
+                        degs=degs, contained=True,
+                        dim_source=ka.dimension, dim_target=kb.dimension))
+                    continue
+                index, missed = sep
+                row = lo + int(missed[rank[lo:hi]].argmax())
+                separated.append((degs, ka, index, substs[row], kb.dimension, len(verdicts)))
+                verdicts.append(None)
+            values = _witness_values(grid_b, separated, B2)
+            for (degs, ka, index, subst, dim_target, at), value in zip(separated, values):
+                verdicts[at] = AssignmentVerdict(
+                    degs=degs, contained=False,
+                    dim_source=ka.dimension, dim_target=dim_target,
+                    separating=_poly(DegreeAssignment(degs), perms, ka.vector(index, field), field),
+                    witness_substitution=tuple(grid_b.keys[pos] for pos in subst.tolist()),
+                    witness_value=value)
     return ContainmentReport(n_max=n_max, verdicts=tuple(verdicts),
                              skipped=tuple(skipped))
 
 
-def _separator(a, b, field, degs):
-    """None when the rows of B lie in the row space of A, else (i, missed):
-    the index of the first vector of A's kernel basis that some row of B
-    does not kill, and the rows of B (as bytes) that it does not kill.
+def _separator(kernel, rows, field):
+    """None when the kernel of A kills every one of the rows of B, else
+    (i, missed): the index of the first vector of A's kernel that some row
+    does not kill, and the mask of the rows it does not kill.
 
-    The rows of B are scanned against the whole kernel once, so a
-    containment finds the witness row of every assignment with this pair
-    of row sets in missed, with no further exact check."""
-    if all(fieldlin.in_span(a.reduced, a.pivots, row) for row in b.reduced):
-        return None
-    mask = _not_killed(b.rows, a.kernel, field)
+    One kill mask decides the pair of row sets and gives the witness row of
+    every assignment with it, with no further exact check."""
+    mask = _not_killed(rows, kernel.polys, field)
     hit = np.flatnonzero(mask.any(axis=0))
     if not hit.size:
-        raise VerificationFailed(
-            f"no identity of the source separates at {tuple(degs)}")
-    i = int(hit[0])
-    return i, frozenset(row.tobytes() for row in b.rows[mask[:, i]])
+        return None
+    return int(hit[0]), mask[:, hit[0]]

@@ -201,6 +201,56 @@ def test_conjugate_class_moves_domain(s3):
     assert back == sig
 
 
+def test_conjugate_class_reuses_the_conjugate_subgroup(s3):
+    """Two conjugations of one domain by one element share the conjugate
+    subgroup, kept in the parent's store, and the table is the one that
+    moving each entry on its own gives."""
+    H = Subgroup(s3, (0, s3.element_by_label("(123)"), s3.element_by_label("(132)")))
+    for xi in s3.elements():
+        sig = ExpCocycle(H, 3, coboundary_from(ExpFunction(H, 3, [0, 1, 2])).mat)
+        first, second = conjugate_class(sig, xi), conjugate_class(sig, xi)
+        assert first.domain is second.domain
+        K = first.domain
+        loop = np.zeros_like(sig.mat)
+        for i, a in enumerate(H.members):
+            for j, b in enumerate(H.members):
+                loop[K.position(s3.conj(a, xi)), K.position(s3.conj(b, xi))] = sig.mat[i, j]
+        assert np.array_equal(first.mat, loop)
+    assert len({conjugate_class(sig, xi).domain.members for xi in s3.elements()}) == 1
+
+
+def _identity_by_loops(sig):
+    """The 2-cocycle identity checked triple by triple."""
+    H, G, r = sig.domain, sig.domain.parent, sig.mat
+    pos = H.position
+    return all(
+        (r[x, y] + r[pos(G.mul(a, b)), z] - r[y, z] - r[x, pos(G.mul(b, c))]) % sig.modulus == 0
+        for x, a in enumerate(H.members) for y, b in enumerate(H.members)
+        for z, c in enumerate(H.members))
+
+
+@pytest.mark.parametrize("name", ["C2xC2", "S3", "Q8", "C2xC2xC4"])
+def test_cocycle_identity_matches_the_triple_loop(name):
+    """The vectorized identity check agrees with the triple loop on catalog
+    classes, on their coboundary twists and on tables that are no cocycle."""
+    G = catalog_group(name) if name != "C2xC2xC4" else parse_spec(name)
+    H = G.full_subgroup()
+    m = 2 * G.exponent
+    rng = np.random.default_rng(len(name))
+    tables = [klein_sign_cocycle(H).lift(m).mat] if name == "C2xC2" else []
+    tables.append(coboundary_from(ExpFunction(H, m, rng.integers(0, m, H.order))).mat)
+    for _ in range(3):
+        bad = tables[0].copy()
+        bad[rng.integers(1, H.order), rng.integers(1, H.order)] += 1
+        tables.append(bad % m)
+    verdicts = []
+    for mat in tables:
+        sig = ExpCocycle(H, m, mat)
+        verdicts.append(cocycles._satisfies_identity(sig))
+        assert verdicts[-1] == _identity_by_loops(sig)
+    assert verdicts[0] and not all(verdicts)
+
+
 def test_conjugation_by_subgroup_element_preserves_class(klein, sign_cocycle):
     for xi in klein.elements():
         moved = conjugate_class(sign_cocycle, xi)

@@ -397,11 +397,20 @@ def test_containment_from_a_subalgebra_with_empty_row_sets(klein, plain):
     assert rep == _reference_report(line, plain, rep)
 
 
+def _counting(monkeypatch, name):
+    """Wrap identities.<name> so that each call appends its arguments to
+    the returned list."""
+    calls = []
+    real = getattr(identities, name)
+    monkeypatch.setattr(identities, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
 @pytest.mark.parametrize("pair", ["Q8 coboundary", "V4 sign"])
 def test_one_exact_reduction_per_row_set(monkeypatch, pair, klein, sign_cocycle, q8):
-    """A containment reduces each distinct (width, row set) once, for A and
-    B together, and its report is still the one the whole matrices give,
-    assignment by assignment."""
+    """A containment lifts the kernel of each distinct (width, row set)
+    once, for A and B together, and its report is still the one the whole
+    matrices give, assignment by assignment."""
     if pair == "Q8 coboundary":
         H = q8.full_subgroup()
         A = TwistedGroupAlgebra(H)
@@ -416,44 +425,150 @@ def test_one_exact_reduction_per_row_set(monkeypatch, pair, klein, sign_cocycle,
     keys = {(factorial(n), frozenset(_exponent_rows(grid, degs, field.modulus)))
             for n in (1, 2, 3) for degs in itertools.product(supports, repeat=n)
             for grid in grids}
-    calls = []
-    real_rref = fieldlin.rref
-    monkeypatch.setattr(fieldlin, "rref", lambda rows, F: calls.append(1) or real_rref(rows, F))
+    lifts = _counting(monkeypatch, "_lift")
     rep = multilinear_containment(A, B, 3)
     monkeypatch.undo()
-    assert len(calls) == len(keys) < len(rep.verdicts) // 4
+    lifted = {(width, frozenset(map(tuple, E.tolist()))) for E, width, _ in lifts}
+    assert len(lifts) == len(lifted) < len(rep.verdicts) // 4
+    assert lifted == keys
     reference = _reference_report(A, B, rep)
     assert jsonio.containment_to_json(rep) == jsonio.containment_to_json(reference)
     assert rep == reference
 
 
-def test_exact_finish_repairs_a_starved_pivot_search(monkeypatch, klein, sign_cocycle):
-    """Rows independent modulo p are independent over Q(zeta), but a prime
-    can lose rank.  Keeping only the first modular pivot row has that effect
-    at its worst; the exact check must then bring every missing row back,
-    leaving spaces and reports unchanged."""
+def _lift_outputs(klein, sign_cocycle):
+    """Identity spaces and containment reports over V4 and M_2(V4) whose
+    kernels have rank 1 to 23."""
     H = klein.full_subgroup()
     signed = TwistedGroupAlgebra(H, sign_cocycle)
     m2 = GradedMatrixAlgebra(TwistedGroupAlgebra(H, trivial_cocycle(H, 2)), (0, 1))
     m2_signed = GradedMatrixAlgebra(signed, (0, 1))
     assignments = [DegreeAssignment(d) for d in ((1, 1, 0), (0, 2, 1), (3, 3, 0, 1))]
+    spaces = [identity_space(A, a).basis for A in (m2, m2_signed) for a in assignments]
+    reports = [jsonio.containment_to_json(multilinear_containment(A, B, 3))
+               for A, B in ((signed, m2), (m2, signed), (m2_signed, m2))]
+    return spaces, reports
+
+
+def test_exact_finish_repairs_a_starved_pivot_search(monkeypatch, klein, sign_cocycle):
+    """Rows independent modulo p are independent over Q(zeta), but a prime
+    can lose rank.  A first prime that keeps only the first row has that
+    effect at its worst: its lift must fail the exact check, and a second
+    prime, with earlier pivots, must replace it, leaving spaces and reports
+    unchanged."""
+    expected = _lift_outputs(klein, sign_cocycle)
+    first = identities._prime(2, 0)[0]
+    real = identities._modular_rref
+    primes = []
+
+    def starved(E, m, p, g):
+        primes.append(p)
+        return real(E[:1] if p == first else E, m, p, g)
+
+    monkeypatch.setattr(identities, "_modular_rref", starved)
+    assert _lift_outputs(klein, sign_cocycle) == expected
+    assert primes.count(first) < len(primes)  # second primes were added
+
+
+def _smallest_prime(m):
+    """(p, g) for the smallest prime p = 1 (mod m) and an element g of
+    order m modulo p."""
+    p = m + 1
+    while any(p % q == 0 for q in range(2, p)):
+        p += m
+    g = next(h for h in range(2, p) if all(
+        pow(h, k * (p - 1) // m, p) != 1 for k in range(1, m)))
+    return p, pow(g, (p - 1) // m, p)
+
+
+def _dense(vec, width, field):
+    return [vec.get(j, field.zero()) for j in range(width)]
+
+
+@pytest.mark.parametrize("first", [3, 7], ids=["fails to verify", "fails to reconstruct"])
+def test_a_failed_first_prime_adds_a_second(monkeypatch, first, klein, sign_cocycle, q8):
+    """Over Q the kernel of the rows (1, 1, 0) and (1, -1, 1) is spanned by
+    (-1/2, 1/2, 1).  Modulo 3, 1/2 = -1 is a small residue, so the lift
+    takes it as it stands and fails the exact check; modulo 7, 1/2 = 4 has
+    no reconstruction with both parts below sqrt(7/2).  Either way the
+    lift adds a second prime by CRT and gives fieldlin's kernel.  A first
+    prime whose maps of zeta_M disagree on the pivots is passed over.  With
+    the smallest prime = 1 (mod M) first everywhere, spaces and reports are
+    unchanged."""
+    H = q8.full_subgroup()
+    q_plain = TwistedGroupAlgebra(H)
+    q_twist = _coboundary_twist(q8, [0, 1, 2, 3, 1, 2, 3, 0])
 
     def outputs():
-        spaces = [identity_space(A, a).basis for A in (m2, m2_signed) for a in assignments]
-        reports = [jsonio.containment_to_json(multilinear_containment(A, B, 3))
-                   for A, B in ((signed, m2), (m2, signed), (m2_signed, m2))]
+        spaces, reports = _lift_outputs(klein, sign_cocycle)
+        reports.append(jsonio.containment_to_json(multilinear_containment(q_twist, q_plain, 3)))
+        spaces.append(identity_space(q_twist, DegreeAssignment((1, 2, 5, 3))).basis)
         return spaces, reports
 
-    calls = []
-    real_rref = fieldlin.rref
-    monkeypatch.setattr(fieldlin, "rref", lambda rows, F: calls.append(1) or real_rref(rows, F))
     expected = outputs()
-    exact_calls = len(calls)
-    real_pivots = identities._pivot_rows
-    monkeypatch.setattr(identities, "_pivot_rows", lambda E, m: real_pivots(E, m)[:1])
-    calls.clear()
+    real = identities._prime
+    asked = []
+
+    def prime(m, i):
+        asked.append(i)
+        if i:
+            return real(m, i - 1)
+        return (first, first - 1) if m == 2 else _smallest_prime(m)
+
+    monkeypatch.setattr(identities, "_prime", prime)
+    F = cyclo_field(2)
+    E = np.array([[0, 0, -1], [0, 1, 0]], dtype=np.int8)
+    kernel = identities._lift(E, 3, F)
+    assert asked == [0, 1]
+    rows = [[F.root(e) if e >= 0 else F.zero() for e in row] for row in E.tolist()]
+    assert [_dense(kernel.vector(0, F), 3, F)] == fieldlin.kernel_basis(
+        *fieldlin.rref(rows, F), 3, F)
+    assert kernel.vector(0, F)[0] == F.from_fraction(Fraction(-1, 2))
+    # the two maps of zeta_4 modulo 5 give these rows different pivots
+    F4 = cyclo_field(4)
+    E4 = np.array([[0, 0, 0, 3], [0, 2, -1, -1], [0, 1, 3, 2]], dtype=np.int8)
+    assert identities._modular_rref(E4, 4, 5, 2) is None
+    asked.clear()
+    kernel = identities._lift(E4, 4, F4)
+    assert asked == [0, 1]
+    rows = [[F4.root(e) if e >= 0 else F4.zero() for e in row] for row in E4.tolist()]
+    assert [_dense(kernel.vector(0, F4), 4, F4)] == fieldlin.kernel_basis(
+        *fieldlin.rref(rows, F4), 4, F4)
     assert outputs() == expected
-    assert len(calls) > exact_calls  # the minor was repaired
+
+
+def test_lift_needs_no_fieldlin(monkeypatch, klein, sign_cocycle, c4, q8):
+    """identities neither imports nor calls fieldlin: with its rref,
+    kernel_basis and in_span raising, the spaces and containments of the
+    benchmark's algebra kinds (V4 sign, C4 and Q8 coboundary twists, M_2
+    over V4 and C4) run, and match the whole matrices afterwards."""
+    assert not hasattr(identities, "fieldlin")
+    V = klein.full_subgroup()
+    signed, plain = TwistedGroupAlgebra(V, sign_cocycle), TwistedGroupAlgebra(V)
+    c_twist = _coboundary_twist(c4, [0, 1, 3, 2])
+    q_twist = _coboundary_twist(q8, [0, 1, 2, 3, 1, 2, 3, 0])
+    m2_v, m2_c = GradedMatrixAlgebra(signed, (0, 1)), GradedMatrixAlgebra(c_twist, (0, 1))
+    cases = [(signed, plain, 3), (c_twist, TwistedGroupAlgebra(c4.full_subgroup()), 3),
+             (q_twist, TwistedGroupAlgebra(q8.full_subgroup()), 2),
+             (m2_v, GradedMatrixAlgebra(plain, (0, 1)), 2),
+             (m2_c, GradedMatrixAlgebra(TwistedGroupAlgebra(c4.full_subgroup()), (0, 2)), 2)]
+
+    def refuse(*args):
+        raise AssertionError("fieldlin was called")
+
+    for name in ("rref", "kernel_basis", "in_span"):
+        monkeypatch.setattr(fieldlin, name, refuse)
+    reports = [(A, B, multilinear_containment(A, B, n)) for A, B, n in cases]
+    spaces = [identity_space(X, DegreeAssignment(d)) for X, d in
+              ((m2_v, (3, 3, 0, 1)), (m2_c, (1, 3, 2, 0)), (signed, (1, 2, 3, 1)),
+               (q_twist, (1, 2, 5, 3)))]
+    monkeypatch.undo()
+    assert any(not rep.contained for _, _, rep in reports)
+    for A, B, rep in reports:
+        assert rep == _reference_report(A, B, rep)
+    for space in spaces[2:]:
+        perms, kernel = _full_kernel(space.algebra, space.assignment.degs)
+        assert [_vector(p, perms) for p in space.basis] == kernel
 
 
 def test_not_killed_is_exact_past_int64():
@@ -491,45 +606,70 @@ def test_residue_table_is_the_powers_of_zeta(m):
 
 
 def test_witness_rows_come_from_the_separator_scan(monkeypatch, klein, sign_cocycle):
-    """Outside _reduce, _not_killed runs once per pair of row sets that
-    reaches the kernel scan, never once per separated assignment, and the
+    """Outside the lifts, one kill mask per pair of row sets decides the
+    pair and gives the witness row of every separated assignment with it;
+    the witness values come from the grid, not from evaluate; and the
     report is still the one the whole matrices give."""
     A = TwistedGroupAlgebra(klein.full_subgroup(), sign_cocycle)
     B = TwistedGroupAlgebra(klein.full_subgroup())
-    calls = {"reduce": 0, "other": 0}
+    calls = {"lift": 0, "other": 0}
     scanned = []
     inside = []
-    real_not_killed, real_reduce = identities._not_killed, identities._reduce
+    real_not_killed, real_lift = identities._not_killed, identities._lift
     real_separator = identities._separator
 
     def not_killed(*args):
-        calls["reduce" if inside else "other"] += 1
+        calls["lift" if inside else "other"] += 1
         return real_not_killed(*args)
 
-    def reduce(*args):
+    def lift(*args):
         inside.append(1)
         try:
-            return real_reduce(*args)
+            return real_lift(*args)
         finally:
             inside.pop()
 
-    def separator(a, b, field, degs):
-        out = real_separator(a, b, field, degs)
-        if out is not None:
-            scanned.append((a.key, b.key))
+    def separator(kernel, rows, field):
+        out = real_separator(kernel, rows, field)
+        scanned.append((id(kernel), rows.tobytes(), out is not None))
         return out
 
+    def evaluate(*args):
+        raise AssertionError("evaluate was called")
+
     monkeypatch.setattr(identities, "_not_killed", not_killed)
-    monkeypatch.setattr(identities, "_reduce", reduce)
+    monkeypatch.setattr(identities, "_lift", lift)
     monkeypatch.setattr(identities, "_separator", separator)
+    monkeypatch.setattr(identities, "evaluate", evaluate)
     rep = multilinear_containment(A, B, 3)
     monkeypatch.undo()
     separated = [v for v in rep.verdicts if not v.contained]
-    assert len(set(scanned)) == len(scanned) < len(separated)
-    assert calls["other"] <= len(scanned)
+    assert len(set(scanned)) == len(scanned) == calls["other"] < len(rep.verdicts)
+    assert 0 < sum(hit for _, _, hit in scanned) < len(separated)
     reference = _reference_report(A, B, rep)
     assert rep == reference
     assert jsonio.containment_to_json(rep) == jsonio.containment_to_json(reference)
+
+
+def test_witness_values_match_evaluate(klein, sign_cocycle, q8):
+    """Every witness value summed from the grid is evaluate's value of the
+    separating polynomial at the witness substitution, in both directions
+    over V4 and Q8 and in M_2(V4)."""
+    V, Q = klein.full_subgroup(), q8.full_subgroup()
+    signed, plain = TwistedGroupAlgebra(V, sign_cocycle), TwistedGroupAlgebra(V)
+    q_twist = _coboundary_twist(q8, [0, 1, 2, 3, 1, 2, 3, 0])
+    m2s, m2p = GradedMatrixAlgebra(signed, (0, 1)), GradedMatrixAlgebra(plain, (0, 1))
+    checked = 0
+    for A, B, n in ((signed, plain, 3), (plain, signed, 3), (q_twist, TwistedGroupAlgebra(Q), 3),
+                    (m2s, m2p, 2), (m2p, m2s, 2)):
+        for v in multilinear_containment(A, B, n).verdicts:
+            if v.contained:
+                continue
+            wide = B.with_field(v.separating.field)
+            subst = tuple(wide.basis_element(k) for k in v.witness_substitution)
+            assert evaluate(v.separating, wide, subst) == v.witness_value
+            checked += 1
+    assert checked > 50
 
 
 # -- batched rows against the walk -----------------------------------------------
@@ -566,8 +706,8 @@ def _walk_cases():
 @pytest.mark.parametrize("chunk", [None, 10], ids=["default chunk", "chunk of 10"])
 def test_batched_rows_match_the_walk(monkeypatch, chunk):
     """For every assignment, the batched builder gives the walk's distinct
-    rows in the same order, each with the same first substitution, and
-    keys the row set by its sorted rows.  Chunks of 10 entries split single
+    rows in the same order, each with the same first substitution, and the
+    same rows sorted, which key the row set.  Chunks of 10 entries split single
     assignments (and degree 2 and 3 runs of assignments) across steps."""
     if chunk is not None:
         monkeypatch.setattr(identities, "_CHUNK_ENTRIES", chunk)
@@ -576,14 +716,18 @@ def test_batched_rows_match_the_walk(monkeypatch, chunk):
         grid = identities._Grid(algebra)
         m, width = algebra.field.modulus, factorial(n)
         step = max(1, identities._CHUNK_ENTRIES // width)
-        built = list(identities._assignment_rows(grid, assignments, n, m))
+        built = []
+        for ordered, substs, rank, bounds in identities._assignment_rows(
+                grid, np.array(assignments).reshape(-1, n), m):
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                built.append((ordered[lo:hi], ordered[lo:hi][rank[lo:hi]], substs[lo:hi]))
         assert len(built) == len(assignments)
-        for degs, (rows, substs, key) in zip(assignments, built):
+        for degs, (ordered, rows, substs) in zip(assignments, built):
             walk = _exponent_rows(grid, degs, m)
             assert [tuple(r) for r in rows.tolist()] == list(walk)
             assert [tuple(s) for s in substs.tolist()] == list(walk.values())
-            ordered = np.array(sorted(walk), dtype=rows.dtype).reshape(-1, width)
-            assert key == (width, ordered.tobytes())
+            assert ordered.tobytes() == np.array(
+                sorted(walk), dtype=rows.dtype).reshape(-1, width).tobytes()
             split += prod(len(grid.comps.get(g, ())) for g in degs) > step
     assert (split > 0) == (chunk is not None)
 
