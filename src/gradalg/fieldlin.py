@@ -1,9 +1,11 @@
 """Dense exact linear algebra over a cyclotomic field.
 
 Matrices are lists of rows of CycloNumber, reduced by Gauss-Jordan with
-exact inverses, so every output is canonical.  Callers keep the matrices
-small: `identities` hands over a minor of at most n! <= 24 rows that it
-picked modulo a prime, and checks the rows left out itself.
+exact inverses, so every output is canonical.  No library code calls it:
+`identities` lifts its kernels from a prime and checks them itself.  The
+tests use it as the exact oracle for those kernels and for containment
+(`in_span`), and the benchmark's tracer wraps `rref` and `kernel_basis` by
+name, so the module stays in the package.
 """
 
 from __future__ import annotations

@@ -351,7 +351,8 @@ def _assignment_rows(grid, degs, m):
             yield ordered[:carried], substs[:carried], rank[:carried], bounds[:-1]
         done = run_on
     if done < count:
-        yield rows[:0], substs[:0], np.zeros(0, dtype=np.int64), np.zeros(count - done + 1, dtype=np.int64)
+        yield (rows[:0], substs[:0], np.zeros(0, dtype=np.int64),
+               np.zeros(count - done + 1, dtype=np.int64))
 
 
 def _is_prime(p):
@@ -360,10 +361,12 @@ def _is_prime(p):
 
 @lru_cache(maxsize=None)
 def _prime(m, i):
-    """(p, g): the i-th largest prime p < 2**31 with p = 1 (mod m), from
-    i = 0, and an element g of order m modulo p, so that zeta_m -> g is a
-    ring map.  p < 2**31 keeps every product of two residues inside int64."""
-    p = (2**31 - 2) // m * m + 1
+    """(p, g): the i-th largest prime p = 1 (mod m) with phi(m) p**2 < 2**63,
+    from i = 0, and an element g of order m modulo p, so that zeta_m -> g
+    is a ring map.  The bound keeps a product of two residues, and a sum of
+    phi(m) of them, inside int64."""
+    phi = sum(gcd(j, m) == 1 for j in range(m))
+    p = (isqrt(2**63 // phi) - 2) // m * m + 1
     for _ in range(i + 1):
         while not _is_prime(p):
             p -= m
@@ -397,16 +400,19 @@ def _inverse_mod(mat, p):
 
 @lru_cache(maxsize=None)
 def _maps(m, p, g):
-    """(powers, inverse) for the phi(m) ring maps zeta_m -> g^j modulo p, j
-    a unit modulo m: powers[k, e] = g^(j_k e) for e < m, with a last
-    column 0 that an absent entry (-1) picks; inverse is the inverse of the
-    Vandermonde matrix V[k, i] = g^(j_k i), i < phi(m), and takes the images
-    of a field element under the maps to its power-basis coefficients."""
+    """(powers, interpolate) for the phi(m) ring maps zeta_m -> g^j modulo
+    p, j a unit modulo m: powers[k, e] = g^(j_k e) for e < m, with a last
+    column 0 that an absent entry (-1) picks; interpolate is minus the
+    inverse of the Vandermonde matrix V[k, i] = g^(j_k i), i < phi(m), and
+    takes the images of a field element under the maps to minus its
+    power-basis coefficients.  Both are cached, so they are read-only."""
     units = [j for j in range(m) if gcd(j, m) == 1]
     powers = np.array([[pow(g, j * e, p) for e in range(m)] + [0] for j in units],
                       dtype=np.int64)
     vandermonde = [[pow(g, j * i, p) for i in range(len(units))] for j in units]
-    return powers, np.array(_inverse_mod(vandermonde, p), dtype=np.int64)
+    interpolate = -np.array(_inverse_mod(vandermonde, p), dtype=np.int64) % p
+    powers.flags.writeable = interpolate.flags.writeable = False
+    return powers, interpolate
 
 
 def _modular_rref(E, m, p, g):
@@ -418,7 +424,7 @@ def _modular_rref(E, m, p, g):
     entry at pivot a of the kernel vector of the b-th free column: minus
     the reduced form's entry there.
     """
-    powers, inverse = _maps(m, p, g)
+    powers, interpolate = _maps(m, p, g)
     A = powers[:, E]
     maps, rows, width = A.shape
     at = np.arange(maps)
@@ -428,27 +434,24 @@ def _modular_rref(E, m, p, g):
         if r == rows:
             break
         nonzero = A[:, r:, c] != 0
-        hit = nonzero.any(axis=1)
-        if not hit.any():
-            continue
+        s = nonzero.argmax(axis=1)
+        hit = nonzero[at, s]
         if not hit.all():
-            return None
-        s = r + nonzero.argmax(axis=1)
+            if hit.any():
+                return None
+            continue
+        s += r
         top = A[at, s]
-        A[at, s] = A[:, r].copy()
-        scale = np.array([pow(int(x), p - 2, p) for x in top[:, c]], dtype=np.int64)
-        top = top * scale[:, None] % p
+        A[at, s] = A[:, r]
+        top = top * np.array([pow(int(x), p - 2, p) for x in top[:, c]])[:, None] % p
         A[:, r] = top
-        col = A[:, :, c].copy()
-        col[:, r] = 0
-        A[:, :, c:] = (A[:, :, c:] - col[:, :, None] * top[:, None, c:]) % p
+        factor = A[:, :, c, None].copy()
+        factor[:, r] = 0
+        A[:, :, c:] = (A[:, :, c:] - factor * top[:, None, c:]) % p
         pivots.append(c)
     free = [c for c in range(width) if c not in pivots]
     images = A[:, :len(pivots)][:, :, free]
-    coeffs = np.zeros_like(images)
-    for k in range(maps):
-        coeffs = (coeffs + inverse[:, k, None, None] * images[k]) % p
-    return pivots, (-coeffs) % p
+    return pivots, (interpolate @ images.reshape(maps, -1) % p).reshape(images.shape)
 
 
 def _rational(x, modulus, bound):
@@ -517,14 +520,17 @@ def _reconstruct(pivots, images, width, field):
             X = (X + coeffs.astype(object) * (q * pow(q, -1, p))) % modulus
     bound = isqrt(modulus // 2)
     num = np.where(X <= bound, X, X - modulus)
-    den = np.ones(X.shape, dtype=X.dtype)
-    for at in zip(*np.nonzero((X > bound) & (X < modulus - bound))):
-        frac = _rational(int(X[at]), modulus, bound)
-        if frac is None:
-            return None
-        num[at], den[at] = frac
     free = [c for c in range(width) if c not in pivots]
-    dens = [lcm(*den[:, :, b].ravel().tolist()) for b in range(len(free))]
+    dens = [1] * len(free)
+    fractions = np.nonzero((X > bound) & (X < modulus - bound))
+    if fractions[0].size:
+        den = np.ones(X.shape, dtype=X.dtype)
+        for at in zip(*fractions):
+            frac = _rational(int(X[at]), modulus, bound)
+            if frac is None:
+                return None
+            num[at], den[at] = frac
+        dens = [lcm(*den[:, :, b].ravel().tolist()) for b in range(len(free))]
     scaled = num
     if X.dtype == object or max(dens, default=1) > 1:
         scaled = num.astype(object) * (np.array(dens, dtype=object) // den.astype(object))
@@ -545,9 +551,16 @@ def _lift(E, width, field):
     """The canonical kernel of the rows E (exponent form, width columns),
     lifted from as many primes as it takes and checked exactly."""
     m = field.modulus
-    if not len(E):
-        return _Kernel(np.eye(width, dtype=np.int64)[:, :, None] * np.eye(1, m, dtype=np.int64),
-                       [1] * width)
+    if len(E) < 2:
+        # no rows, or one row r: its kernel needs no prime, the vector of
+        # each column f after r's first nonzero column l is e_f - (r_f / r_l) e_l
+        polys = np.eye(width, dtype=np.int64)[:, :, None] * np.eye(1, m, dtype=np.int64)
+        if len(E):
+            lead, *rest = np.flatnonzero(E[0] >= 0).tolist()
+            polys = np.delete(polys, lead, axis=0)
+            ratios = _residue_array(field, np.int64)[(E[0, rest] - E[0, lead]) % m]
+            polys[np.array(rest, dtype=np.int64) - 1, lead, :field.degree] = -ratios
+        return _Kernel(polys, [1] * len(polys))
     best, images = None, []
     for i in range(_MAX_PRIMES):
         p, g = _prime(m, i)
@@ -574,6 +587,14 @@ def _residues(field):
     them."""
     rows = tuple(tuple(int(c) for c in field.root(t).coeffs) for t in range(field.modulus))
     return rows, max(abs(x) for row in rows for x in row)
+
+
+@lru_cache(maxsize=None)
+def _residue_array(field, dtype):
+    """_residues(field)'s rows as a read-only array of dtype."""
+    out = np.array(_residues(field)[0], dtype=dtype)
+    out.flags.writeable = False
+    return out
 
 
 def _integer_form(vectors, m):
@@ -621,7 +642,7 @@ def _not_killed(E, vectors, field):
     shift = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m
     rotations = K.astype(dtype)[:, :, shift].transpose(1, 2, 0, 3).reshape(width * m, -1)
     total = (onehot @ rotations).reshape(rows, len(K), m)
-    return (total @ np.array(_residues(field)[0], dtype=dtype) != 0).any(axis=2)
+    return (total @ _residue_array(field, dtype) != 0).any(axis=2)
 
 
 def _witness_values(grid, separated, algebra):
@@ -646,16 +667,15 @@ def _witness_values(grid, separated, algebra):
     slot = np.where(pos >= 0, np.arange(count)[:, None] * dim + pos, count * dim)
     total = np.zeros((count * dim + 1, m), dtype=dtype)
     np.add.at(total, slot.ravel(), rotated.reshape(-1, m))
-    value = (total[:-1] @ np.array(_residues(field)[0], dtype=dtype)).reshape(count, dim, phi)
-    out = []
-    for (degs, kernel, v, *_), coeffs in zip(separated, value):
-        den = kernel.dens[v]
-        terms = {grid.keys[p]: _scalar(field, coeffs[p].tolist(), den)
-                 for p in np.flatnonzero(coeffs.any(axis=1)).tolist()}
-        if not terms:
+    value = (total[:-1] @ _residue_array(field, dtype)).reshape(count, dim, phi)
+    dens = [kernel.dens[v] for _, kernel, v, *_ in separated]
+    terms = [{} for _ in separated]
+    for s, p in zip(*np.nonzero(value.any(axis=2))):
+        terms[s][grid.keys[p]] = _scalar(field, value[s, p].tolist(), dens[s])
+    for (degs, *_), found in zip(separated, terms):
+        if not found:
             raise VerificationFailed(f"separating witness evaluates to zero at {degs}")
-        out.append(GradedElement(algebra, terms))
-    return out
+    return [GradedElement(algebra, found) for found in terms]
 
 
 def _row_sets(grid, degs, field, kernels):

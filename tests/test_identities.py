@@ -397,15 +397,6 @@ def test_containment_from_a_subalgebra_with_empty_row_sets(klein, plain):
     assert rep == _reference_report(line, plain, rep)
 
 
-def _counting(monkeypatch, name):
-    """Wrap identities.<name> so that each call appends its arguments to
-    the returned list."""
-    calls = []
-    real = getattr(identities, name)
-    monkeypatch.setattr(identities, name, lambda *args: calls.append(args) or real(*args))
-    return calls
-
-
 @pytest.mark.parametrize("pair", ["Q8 coboundary", "V4 sign"])
 def test_one_exact_reduction_per_row_set(monkeypatch, pair, klein, sign_cocycle, q8):
     """A containment lifts the kernel of each distinct (width, row set)
@@ -425,7 +416,9 @@ def test_one_exact_reduction_per_row_set(monkeypatch, pair, klein, sign_cocycle,
     keys = {(factorial(n), frozenset(_exponent_rows(grid, degs, field.modulus)))
             for n in (1, 2, 3) for degs in itertools.product(supports, repeat=n)
             for grid in grids}
-    lifts = _counting(monkeypatch, "_lift")
+    lifts = []
+    real_lift = identities._lift
+    monkeypatch.setattr(identities, "_lift", lambda *args: lifts.append(args) or real_lift(*args))
     rep = multilinear_containment(A, B, 3)
     monkeypatch.undo()
     lifted = {(width, frozenset(map(tuple, E.tolist()))) for E, width, _ in lifts}
@@ -437,8 +430,8 @@ def test_one_exact_reduction_per_row_set(monkeypatch, pair, klein, sign_cocycle,
 
 
 def _lift_outputs(klein, sign_cocycle):
-    """Identity spaces and containment reports over V4 and M_2(V4) whose
-    kernels have rank 1 to 23."""
+    """Identity spaces at degrees 3 and 4 of M_2 over V4, plain and signed,
+    and three containment reports to degree 3 among them and F^sign[V4]."""
     H = klein.full_subgroup()
     signed = TwistedGroupAlgebra(H, sign_cocycle)
     m2 = GradedMatrixAlgebra(TwistedGroupAlgebra(H, trivial_cocycle(H, 2)), (0, 1))
