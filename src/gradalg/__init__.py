@@ -18,9 +18,9 @@ from .cocycles import (
 )
 from .config import EngineConfig, load_config
 
-# dense Gauss-Jordan over Q(zeta_M): no library code calls it; the tests use
-# it as their exact oracle and the benchmark's tracer wraps rref and
-# kernel_basis, so it loads with the package
+# no library code calls fieldlin; it loads with the package because the
+# tests use it as their exact oracle and the benchmark's tracer wraps its
+# rref and kernel_basis
 from . import fieldlin  # noqa: F401
 from .cyclo import CycloField, CycloNumber, cyclo_field
 from .embed import (

@@ -148,9 +148,7 @@ def is_cocycle(sig: ExpCocycle) -> bool:
 
 def _satisfies_identity(sig: ExpCocycle) -> bool:
     """The 2-cocycle identity at every triple, O(|H|^3)."""
-    H = sig.domain
-    k = H.order
-    mul = _pos_mul(H)
+    mul = _pos_mul(sig.domain)
     r = sig.mat
     # [x, y, z]: r(x, y) + r(xy, z) against r(y, z) + r(x, yz)
     lhs = r[:, :, None] + r[mul]

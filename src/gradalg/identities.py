@@ -37,7 +37,8 @@ canonical kernel basis: one vector per free column, with a 1 there and
 support on the pivots left of it.  When the maps disagree on the pivots, a
 reconstruction fails or the check finds a row the lift does not kill,
 another prime is added by CRT (a prime with earlier pivots replaces the
-ones before it), so the spaces are exact for any prime.
+ones before it), so the spaces are exact for any prime.  A single row is
+its own reduced form, and its kernel is written down with no prime.
 
 A row space depends only on its set of distinct rows, and many degree
 assignments share one, so a call lifts each (width, row set) once and keeps
@@ -51,7 +52,7 @@ assignment with that pair, and the value of the separating polynomial
 there is summed from the grid's products in exponent form.  Only the
 identity spaces returned and the separating polynomials become CycloNumber
 vectors.  Nothing is kept between calls, except each field's table of x^t
-modulo Phi_M and the primes.
+modulo Phi_M and the primes with their maps.
 """
 
 from __future__ import annotations
@@ -200,9 +201,9 @@ class _Grid:
     stands for a zero left factor, so a product position -1 reads it.
 
     comps maps each degree of the support to the positions of its basis, in
-    basis_keys() order; table holds the same lists as padded rows, row_of
-    the row of each element of the grading group, and sizes their lengths,
-    with a last row of size 0 for a degree outside the support.  The two
+    basis_keys() order; table holds the same lists as padded rows and sizes
+    their lengths, with a last row of size 0 for a degree outside the
+    support, and row_of gives the row of each element of the grading group.  The two
     tables hold dim**2 entries each, so a grid costs O(dim**2) memory.
     """
 
@@ -610,11 +611,11 @@ def _integer_form(vectors, m):
     return np.array(polys, dtype=np.int64 if big < 2**62 else object)
 
 
-def _dtype(m, width, polys, field):
+def _dtype(width, polys, field):
     """int64 when every sum and product of a kill check or witness value
     on polys stays below 2**63, else object (Python ints)."""
     big = int(np.abs(polys).max()) if polys.size else 0
-    return np.int64 if m * width * big * _residues(field)[1] < 2**63 else object
+    return np.int64 if field.modulus * width * big * _residues(field)[1] < 2**63 else object
 
 
 def _not_killed(E, vectors, field):
@@ -634,7 +635,7 @@ def _not_killed(E, vectors, field):
         return np.zeros((rows, len(vectors)), dtype=bool)
     m = field.modulus
     K = vectors if isinstance(vectors, np.ndarray) else _integer_form(vectors, m)
-    dtype = _dtype(m, width, K, field)
+    dtype = _dtype(width, K, field)
     at, col = np.nonzero(E >= 0)
     onehot = np.zeros((rows, width * m), dtype=dtype)
     onehot[at, col * m + E[at, col]] = 1
@@ -660,7 +661,7 @@ def _witness_values(grid, separated, algebra):
     pos, exp = _products(grid, substs)
     count, width = pos.shape
     dim = len(grid.keys)
-    dtype = _dtype(m, width, polys, field)
+    dtype = _dtype(width, polys, field)
     shift = (np.arange(m)[None, None, :] - exp[:, :, None]) % m
     rotated = polys.astype(dtype)[np.arange(count)[:, None, None], np.arange(width)[None, :, None],
                                   shift]
