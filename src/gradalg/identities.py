@@ -523,20 +523,19 @@ def _reconstruct(pivots, images, width, field):
     num = np.where(X <= bound, X, X - modulus)
     free = [c for c in range(width) if c not in pivots]
     dens = [1] * len(free)
+    scaled = num
     fractions = np.nonzero((X > bound) & (X < modulus - bound))
     if fractions[0].size:
-        den = np.ones(X.shape, dtype=X.dtype)
+        den = np.ones(X.shape, dtype=object)
         for at in zip(*fractions):
             frac = _rational(int(X[at]), modulus, bound)
             if frac is None:
                 return None
             num[at], den[at] = frac
         dens = [lcm(*den[:, :, b].ravel().tolist()) for b in range(len(free))]
-    scaled = num
-    if X.dtype == object or max(dens, default=1) > 1:
-        scaled = num.astype(object) * (np.array(dens, dtype=object) // den.astype(object))
-        if max([*dens, *np.abs(scaled).ravel().tolist()], default=0) < 2**62:
-            scaled = scaled.astype(np.int64)
+        scaled = num.astype(object) * (np.array(dens, dtype=object) // den)
+    if scaled.dtype == object and max([*dens, *np.abs(scaled).ravel().tolist()], default=0) < 2**62:
+        scaled = scaled.astype(np.int64)
     polys = np.zeros((len(free), width, m), dtype=scaled.dtype)
     polys[np.arange(len(free)), free, 0] = dens
     polys[:, pivots, :phi] = scaled.transpose(2, 1, 0)
@@ -598,19 +597,6 @@ def _residue_array(field, dtype):
     return out
 
 
-def _integer_form(vectors, m):
-    """CycloNumber vectors as the integer polynomials of _Kernel: each
-    vector scaled by the lcm of its coefficients' denominators."""
-    polys = []
-    for v in vectors:
-        coeffs = [c.coeffs if not c.is_zero() else () for c in v]
-        den = lcm(*(q.denominator for cs in coeffs for q in cs))
-        polys.append([[q.numerator * (den // q.denominator) for q in cs] + [0] * (m - len(cs))
-                      for cs in coeffs])
-    big = max(abs(x) for P in polys for vj in P for x in vj)
-    return np.array(polys, dtype=np.int64 if big < 2**62 else object)
-
-
 def _dtype(width, polys, field):
     """int64 when every sum and product of a kill check or witness value
     on polys stays below 2**63, else object (Python ints)."""
@@ -618,31 +604,31 @@ def _dtype(width, polys, field):
     return np.int64 if field.modulus * width * big * _residues(field)[1] < 2**63 else object
 
 
-def _not_killed(E, vectors, field):
-    """Mask over the rows r of E (exponent form) and the vectors v: whether
-    sum_j zeta_m^E[r, j] v_j != 0 in the field Q(zeta_m), decided exactly.
+def _not_killed(E, polys, field):
+    """Mask over the rows r of E (exponent form) and the vectors v of a
+    kernel's polys array: whether sum_j zeta_m^E[r, j] v_j != 0 in the
+    field Q(zeta_m), decided exactly.
 
-    vectors is a kernel's polys array or a list of CycloNumber vectors,
-    each then scaled to integer polynomials v_j(x).  Row r sums the
-    rotations x^E[r, j] v_j(x) in Z[x]/(x^m - 1), as one product of its
-    one-hot (column, exponent) indicator with every vector's rotations,
-    which is then reduced modulo Phi_m by the field's table of residues.
-    int64 is used only when the bound on every sum and product is below
-    2**63, else Python ints.
+    Coordinate j of vector v is the integer polynomial polys[v, j](x), up
+    to one positive scale per vector, which does not change the mask.  Row
+    r sums the rotations x^E[r, j] v_j(x) in Z[x]/(x^m - 1), as one
+    product of its one-hot (column, exponent) indicator with every
+    vector's rotations, which is then reduced modulo Phi_m by the field's
+    table of residues.  int64 is used only when the bound on every sum and
+    product is below 2**63, else Python ints.
     """
     rows, width = E.shape
-    if not len(vectors) or not rows:
-        return np.zeros((rows, len(vectors)), dtype=bool)
+    if not len(polys) or not rows:
+        return np.zeros((rows, len(polys)), dtype=bool)
     m = field.modulus
-    K = vectors if isinstance(vectors, np.ndarray) else _integer_form(vectors, m)
-    dtype = _dtype(width, K, field)
+    dtype = _dtype(width, polys, field)
     at, col = np.nonzero(E >= 0)
     onehot = np.zeros((rows, width * m), dtype=dtype)
     onehot[at, col * m + E[at, col]] = 1
     # rotations[j, e, v, t]: coefficient t of x^e v_j(x) modulo x^m - 1
     shift = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m
-    rotations = K.astype(dtype)[:, :, shift].transpose(1, 2, 0, 3).reshape(width * m, -1)
-    total = (onehot @ rotations).reshape(rows, len(K), m)
+    rotations = polys.astype(dtype)[:, :, shift].transpose(1, 2, 0, 3).reshape(width * m, -1)
+    total = (onehot @ rotations).reshape(rows, len(polys), m)
     return (total @ _residue_array(field, dtype) != 0).any(axis=2)
 
 

@@ -530,6 +530,31 @@ def test_a_failed_first_prime_adds_a_second(monkeypatch, first, klein, sign_cocy
     assert outputs() == expected
 
 
+def test_an_integer_entry_lifted_from_two_primes(monkeypatch):
+    """Over Q the kernel of the rows (1, 1, 1) and (0, 1, -1) is spanned by
+    (-2, 1, 1).  Modulo 3, -2 = 1 is a small residue, taken as the integer
+    1, which fails the exact check; modulo 21 = 3 * 7, -2 = 19 is within
+    sqrt(21 / 2) of 21, an integer as it stands, so the two-prime lift has
+    no fraction to rescale and gives fieldlin's kernel."""
+    primes = {0: (3, 2), 1: (7, 6)}
+    asked = []
+
+    def prime(m, i):
+        asked.append(i)
+        return primes[i]
+
+    monkeypatch.setattr(identities, "_prime", prime)
+    F = cyclo_field(2)
+    E = np.array([[0, 0, 0], [-1, 0, 1]], dtype=np.int8)
+    kernel = identities._lift(E, 3, F)
+    assert asked == [0, 1]
+    rows = [[F.root(e) if e >= 0 else F.zero() for e in row] for row in E.tolist()]
+    assert [_dense(kernel.vector(0, F), 3, F)] == fieldlin.kernel_basis(
+        *fieldlin.rref(rows, F), 3, F)
+    assert kernel.vector(0, F)[0] == F.from_fraction(Fraction(-2))
+    assert kernel.polys.dtype == np.int64 and kernel.dens == [1]
+
+
 def test_lift_needs_no_fieldlin(monkeypatch, klein, sign_cocycle, c4, q8):
     """identities neither imports nor calls fieldlin: with its rref,
     kernel_basis and in_span raising, the spaces and containments of the
@@ -564,6 +589,19 @@ def test_lift_needs_no_fieldlin(monkeypatch, klein, sign_cocycle, c4, q8):
         assert [_vector(p, perms) for p in space.basis] == kernel
 
 
+def _polys(vectors, m):
+    """CycloNumber vectors in the integer form of a kernel's polys array:
+    each vector scaled by the lcm of its coefficients' denominators."""
+    polys = []
+    for v in vectors:
+        coeffs = [c.coeffs if not c.is_zero() else () for c in v]
+        den = lcm(*(q.denominator for cs in coeffs for q in cs))
+        polys.append([[q.numerator * (den // q.denominator) for q in cs] + [0] * (m - len(cs))
+                      for cs in coeffs])
+    big = max(abs(x) for P in polys for vj in P for x in vj)
+    return np.array(polys, dtype=np.int64 if big < 2**62 else object)
+
+
 def test_not_killed_is_exact_past_int64():
     """Kernel coefficients too large for the int64 bound switch the check
     to Python ints; the answer must not change."""
@@ -572,7 +610,8 @@ def test_not_killed_is_exact_past_int64():
     E = np.array([[0, 0], [0, 3], [1, 0], [0, -1]])
     for a in (Fraction(1), Fraction(5**30, 3**40)):
         v = [F.from_fraction(a) * F.root(1), F.from_fraction(a)]
-        assert identities._not_killed(E, [v], F)[:, 0].tolist() == [True, False, False, True]
+        assert identities._not_killed(E, _polys([v], 4), F)[:, 0].tolist() == [
+            True, False, False, True]
 
 
 def test_not_killed_masks_rows_by_vector():
@@ -581,10 +620,10 @@ def test_not_killed_masks_rows_by_vector():
     E = np.array([[0, 0], [0, 2], [1, 0]])
     # (1, 1) kills only (0, 2); (1, -1) only (0, 0); (zeta, 1) only (1, 0)
     vectors = [[F.one(), F.one()], [F.one(), -F.one()], [F.root(1), F.one()]]
-    mask = identities._not_killed(E, vectors, F)
+    mask = identities._not_killed(E, _polys(vectors, 4), F)
     assert mask.tolist() == [[True, False, True], [False, True, True], [True, True, False]]
-    assert identities._not_killed(E[:0], vectors, F).shape == (0, 3)
-    assert identities._not_killed(E, [], F).shape == (3, 0)
+    assert identities._not_killed(E[:0], _polys(vectors, 4), F).shape == (0, 3)
+    assert identities._not_killed(E, np.zeros((0, 2, 4), dtype=np.int64), F).shape == (3, 0)
 
 
 @pytest.mark.parametrize("m", range(1, 31))
