@@ -100,10 +100,6 @@ class CriterionResult:
     budget: float
     detail: str = ""
 
-    @property
-    def within_budget(self):
-        return self.runtime <= self.budget
-
     def line(self):
         tag = "PASS" if self.passed else "FAIL"
         return f"criterion {self.number:2d} {tag}  {self.name}"
@@ -590,6 +586,10 @@ def run_criterion(number) -> CriterionResult:
 
 
 def run_all(numbers=None):
-    wanted = None if numbers is None else set(numbers)
-    return [run_criterion(num) for num, *_ in _CRITERIA
-            if wanted is None or num in wanted]
+    """Run the criteria numbered in numbers (all when None), in order; an
+    unknown number is refused before any criterion runs."""
+    known = set(criterion_numbers())
+    wanted = known if numbers is None else set(numbers)
+    if wanted - known:
+        raise ValidationError(f"no acceptance criteria numbered {sorted(wanted - known)}")
+    return [run_criterion(num) for num, *_ in _CRITERIA if num in wanted]

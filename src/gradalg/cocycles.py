@@ -49,6 +49,8 @@ class ExpCocycle:
     def __init__(self, domain: Subgroup, modulus, mat):
         self.domain = domain
         self.modulus = int(modulus)
+        if self.modulus < 1:
+            raise DomainMismatch(f"cocycle modulus {self.modulus} is not positive")
         mat = np.asarray(mat, dtype=np.int64) % self.modulus
         k = domain.order
         if mat.shape != (k, k):
@@ -72,13 +74,6 @@ class ExpCocycle:
 
     def scaled(self, k):
         return ExpCocycle(self.domain, self.modulus, (self.mat * int(k)) % self.modulus)
-
-    def lift(self, new_modulus):
-        step, rem = divmod(int(new_modulus), self.modulus)
-        if rem:
-            raise DomainMismatch(
-                f"cannot lift modulus {self.modulus} to non-multiple {new_modulus}")
-        return ExpCocycle(self.domain, new_modulus, self.mat * step)
 
     def __eq__(self, other):
         return (
@@ -183,7 +178,7 @@ def restrict(sig: ExpCocycle, H: Subgroup) -> ExpCocycle:
     dom = sig.domain
     if H.parent is not dom.parent:
         raise NotASubgroup("restriction target lives in a different group")
-    if not set(H.members) <= set(dom.members):
+    if not H <= dom:
         raise NotASubgroup("restriction target is not inside the cocycle domain")
     pos = [dom.position(x) for x in H.members]
     return ExpCocycle(H, sig.modulus, sig.mat[np.ix_(pos, pos)])
@@ -376,9 +371,9 @@ def classes_equivalent(sig: ExpCocycle, rho: ExpCocycle, working_modulus=None):
         raise DomainMismatch("cocycles live on different subgroups")
     H = sig.domain
     base = lcm(sig.modulus, rho.modulus)
-    m_w = int(working_modulus) if working_modulus else base * H.exponent
-    if m_w % sig.modulus or m_w % rho.modulus:
-        raise DomainMismatch("working modulus must be a multiple of both moduli")
+    m_w = int(working_modulus) if working_modulus is not None else base * H.exponent
+    if m_w < 1 or m_w % sig.modulus or m_w % rho.modulus:
+        raise DomainMismatch("working modulus must be a positive multiple of both moduli")
     e1 = m_w // sig.modulus
     e2 = m_w // rho.modulus
     sn, f1 = normalize(sig)

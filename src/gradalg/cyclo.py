@@ -179,13 +179,6 @@ class CycloNumber:
     def is_one(self):
         return self._mono is not None and self._mono == (_ONE, 0)
 
-    def as_rational(self):
-        """The element as a Fraction if it lies in Q, else None."""
-        if self._mono is not None:
-            q, k = self._mono
-            return q if (k == 0 or not q) else None
-        return None
-
     def as_monomial(self):
         """(q, k) with the element equal to q * zeta_M^k, or None when it is
         no rational multiple of a root of unity."""

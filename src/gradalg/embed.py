@@ -235,7 +235,7 @@ def twisted_embed(B1, B2, field=None):
     restricted to H1; the witness rescales each basis element.
     """
     B2 = _align_ambient(B1, B2)
-    if not set(B1.subgroup.members) <= set(B2.subgroup.members):
+    if not B1.subgroup <= B2.subgroup:
         return DecisionReport(False, reasons=("subgroup containment",))
     f = classes_equivalent(B1.sigma, restrict(B2.sigma, B1.subgroup))
     if f is None:
@@ -308,7 +308,7 @@ def _matrix_decide(A1, A2, field, want_iso):
     if want_iso:
         if H1.members != H2.members:
             return DecisionReport(False, reasons=("subgroup containment",))
-    elif not set(H1.members) <= set(H2.members):
+    elif not H1 <= H2:
         return DecisionReport(False, reasons=("subgroup containment",))
     matched_any = False
     for delta, matching, shifts in slot_matchings(H2, A1.theta, A2.theta):
@@ -458,7 +458,7 @@ def build_tower(B, chain, k=1, t=1):
     chain = [rehome(H, B.ambient) for H in chain]
     for idx in range(len(chain) - 1):
         low, high = chain[idx], chain[idx + 1]
-        if not set(low.members) <= set(high.members):
+        if not low <= high:
             raise NotASubgroup(f"chain step {idx + 1} is not an inclusion")
         if not is_central_in(low, high):
             raise ChainNotCentral(

@@ -3,9 +3,9 @@
 Matrices are lists of rows of CycloNumber, reduced by Gauss-Jordan with
 exact inverses, so every output is canonical.  No library code calls it:
 `identities` lifts its kernels from a prime and checks them itself.  The
-tests use it as the exact oracle for those kernels and for containment
-(`in_span`), and the benchmark's tracer wraps `rref` and `kernel_basis` by
-name, so the module stays in the package.
+tests use it as the exact oracle for those kernels and for containment, and
+the benchmark's tracer wraps `rref` and `kernel_basis` by name, so the
+module stays in the package.
 """
 
 from __future__ import annotations
@@ -48,20 +48,6 @@ def rref(rows, field):
         if rank == len(mat):
             break
     return mat[:rank], pivots
-
-
-def residual(reduced, pivots, vec):
-    """What is left of vec after eliminating against an rref basis."""
-    v = list(vec)
-    for r, pc in enumerate(pivots):
-        c = v[pc]
-        if not c.is_zero():
-            v = [a if b.is_zero() else a - c * b for a, b in zip(v, reduced[r])]
-    return v
-
-
-def in_span(reduced, pivots, vec):
-    return all(x.is_zero() for x in residual(reduced, pivots, vec))
 
 
 def kernel_basis(reduced, pivots, width, field):

@@ -3,8 +3,7 @@
 An algebra object supplies: field, ambient, dim, basis_keys(),
 degree_of_key(key), multiply_basis_exp(k1, k2) -> (e, key) | None for the
 structure constant zeta_M^e, multiply_rows_exp(rows) -> the same constants as
-arrays over basis positions, multiply_basis(k1, k2) -> (coef, key) | None
-(from MonomialAlgebra), and one().  Twisted group algebras key their basis
+arrays over basis positions, and one().  Twisted group algebras key their basis
 by group element id, matrix algebras by (row, col, group element) triples;
 everything in this module is generic over the key type.
 
@@ -39,17 +38,6 @@ def _coerce(field, value):
     raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
 
 
-class MonomialAlgebra:
-    """multiply_basis read off multiply_basis_exp: every product of two
-    basis elements is a root of unity times a basis element, or zero."""
-
-    def multiply_basis(self, k1, k2):
-        hit = self.multiply_basis_exp(k1, k2)
-        if hit is None:
-            return None
-        return self.field.root(hit[0]), hit[1]
-
-
 class GradedElement:
     """A finite F-linear combination of homogeneous basis elements."""
 
@@ -70,19 +58,10 @@ class GradedElement:
     def is_zero(self):
         return not self.terms
 
-    def coefficient(self, key):
-        return self.terms.get(key, self.algebra.field.zero())
-
-    def support_keys(self):
-        return tuple(sorted(self.terms))
-
     def degrees(self):
         """The set of degrees appearing in this element."""
         deg = self.algebra.degree_of_key
         return frozenset(deg(k) for k in self.terms)
-
-    def is_homogeneous(self):
-        return len(self.degrees()) <= 1
 
     def degree(self):
         degs = self.degrees()
@@ -127,15 +106,16 @@ class GradedElement:
             return self.scaled(other)
         self._check(other)
         A = self.algebra
-        zero = A.field.zero()
+        zero, root = A.field.zero(), A.field.root
         out = {}
+        # each product of basis elements is zeta^e times one basis element, or zero
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                hit = A.multiply_basis(k1, k2)
+                hit = A.multiply_basis_exp(k1, k2)
                 if hit is None:
                     continue
-                coef, key = hit
-                out[key] = out.get(key, zero) + c1 * c2 * coef
+                e, key = hit
+                out[key] = out.get(key, zero) + c1 * c2 * root(e)
         return GradedElement(A, out)
 
     def __rmul__(self, other):

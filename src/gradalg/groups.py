@@ -86,9 +86,6 @@ class FiniteGroup:
         """Conjugate of a: by * a * by^-1."""
         return self.mul(self.mul(by, a), self.inv(by))
 
-    def elements(self):
-        return range(self.order)
-
     def cached(self, key, build):
         """The value stored under key, from build() on the first call.
 
@@ -97,12 +94,6 @@ class FiniteGroup:
         if key not in self._cache:
             self._cache[key] = build()
         return self._cache[key]
-
-    @property
-    def is_abelian(self):
-        mul = self.mul_table
-        return self.cached("abelian", lambda: all(
-            mul[a][b] == mul[b][a] for a in range(self.order) for b in range(a)))
 
     def element_order(self, x):
         k, y = 1, x
@@ -213,11 +204,6 @@ class Subgroup:
 
     def is_central(self):
         return self._cached("central", lambda: set(self.members) <= set(self.parent.center))
-
-    def is_normal(self):
-        G = self.parent
-        return self._cached("normal", lambda: all(
-            G.conj(h, g) in self._pos for h in self.members for g in range(G.order)))
 
     def __repr__(self):
         return f"Subgroup({self.parent.name}, {list(self.members)})"

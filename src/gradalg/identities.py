@@ -744,13 +744,6 @@ class ContainmentReport:
         report with skipped assignments is undecided, never contained."""
         return not self.skipped and all(v.contained for v in self.verdicts)
 
-    def verdict_for(self, degs):
-        degs = tuple(int(g) for g in degs)
-        for v in self.verdicts:
-            if v.degs == degs:
-                return v
-        return None
-
 
 def _over_budget(supports, grids, n, budget):
     """(degs, over): every degree assignment of degree n over supports, in

@@ -9,15 +9,13 @@ precision.  Parsers accept both spellings everywhere an integer appears.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .cyclo import cyclo_field
 from .errors import ParseError, ValidationError
 from .groups import Subgroup, from_table
-from .cocycles import ExpCocycle, ExpFunction, is_cocycle
+from .cocycles import ExpCocycle, is_cocycle
 from .twisted import TwistedGroupAlgebra
-from .matalg import GradedMatrixAlgebra, LambdaWitness, MatBasisElt
-from .identities import DegreeAssignment, GradedMultilinearPoly
+from .matalg import GradedMatrixAlgebra, LambdaWitness
 from .embed import MatrixEmbedWitness, TgaEmbedWitness
 
 _INT_LIMIT = 2**53 - 1
@@ -66,6 +64,16 @@ def _field(obj, key, what):
     return obj[key]
 
 
+def _int_matrix(mat, what, n=None):
+    """The entries of a square JSON matrix of integers, n x n if n is given."""
+    if not isinstance(mat, list) or any(not isinstance(row, list) for row in mat):
+        raise ValidationError(f"{what} must be a list of rows")
+    n = len(mat) if n is None else n
+    if len(mat) != n or any(len(row) != n for row in mat):
+        raise ValidationError(f"{what} must be a square matrix of side {n}")
+    return [[decode_int(v, f"{what} entry") for v in row] for row in mat]
+
+
 # -- groups -------------------------------------------------------------------
 
 
@@ -80,11 +88,11 @@ def group_to_json(G):
 
 def parse_group(obj):
     obj = _expect(obj, "group")
-    table = _field(obj, "table", "group")
-    if not isinstance(table, list):
-        raise ValidationError("group: table must be a list of rows")
-    rows = [[decode_int(v, "group table entry") for v in row] for row in table]
+    rows = _int_matrix(_field(obj, "table", "group"), "group: table")
     labels = obj.get("labels")
+    if labels is not None and (not isinstance(labels, list)
+                               or not all(isinstance(x, str) for x in labels)):
+        raise ValidationError("group: labels must be a list of strings")
     name = obj.get("name", "G")
     return from_table(rows, name=name, labels=labels)
 
@@ -106,12 +114,23 @@ def _parse_subgroup(G, members, what):
 # -- cocycles -----------------------------------------------------------------
 
 
-def cocycle_to_json(sig, group_ref=None):
-    out = {
-        "subgroup": list(sig.domain.members),
+def _exponents_to_json(sig):
+    """The modulus and exponent matrix of a cocycle."""
+    return {
         "modulus": encode_int(sig.modulus),
         "exponents": [[encode_int(v) for v in row] for row in sig.mat.tolist()],
     }
+
+
+def _parse_exponents(obj, H, what):
+    """The cocycle on H with the modulus and exponent matrix in obj."""
+    modulus = decode_int(_field(obj, "modulus", what), f"{what} modulus")
+    rows = _int_matrix(_field(obj, "exponents", what), f"{what}: exponents", H.order)
+    return ExpCocycle(H, modulus, rows)
+
+
+def cocycle_to_json(sig, group_ref=None):
+    out = {"subgroup": list(sig.domain.members), **_exponents_to_json(sig)}
     out["group"] = group_ref if group_ref is not None else group_to_json(sig.domain.parent)
     return out
 
@@ -122,14 +141,7 @@ def parse_cocycle(obj, groups=None):
     obj = _expect(obj, "cocycle")
     G = _resolve_group(_field(obj, "group", "cocycle"), groups, "cocycle")
     H = _parse_subgroup(G, _field(obj, "subgroup", "cocycle"), "cocycle")
-    modulus = decode_int(_field(obj, "modulus", "cocycle"), "cocycle modulus")
-    mat = _field(obj, "exponents", "cocycle")
-    if not isinstance(mat, list) or len(mat) != H.order:
-        raise ValidationError("cocycle: exponents must be a |H| x |H| matrix")
-    rows = [[decode_int(v, "cocycle exponent") for v in row] for row in mat]
-    if any(len(row) != H.order for row in rows):
-        raise ValidationError("cocycle: exponents must be a |H| x |H| matrix")
-    return ExpCocycle(H, modulus, rows)
+    return _parse_exponents(obj, H, "cocycle")
 
 
 def expfunction_to_json(f):
@@ -140,14 +152,6 @@ def expfunction_to_json(f):
     }
 
 
-def parse_expfunction(obj, G):
-    obj = _expect(obj, "function")
-    H = _parse_subgroup(G, _field(obj, "subgroup", "function"), "function")
-    modulus = decode_int(_field(obj, "modulus", "function"), "function modulus")
-    values = _field(obj, "values", "function")
-    return ExpFunction(H, modulus, [decode_int(v, "function value") for v in values])
-
-
 def h2_to_json(desc):
     return {
         "group": desc.group.name,
@@ -156,13 +160,7 @@ def h2_to_json(desc):
         "base_modulus": encode_int(desc.base_modulus),
         "working_modulus": encode_int(desc.working_modulus),
         "invariant_factors": [encode_int(v) for v in desc.invariant_factors],
-        "representatives": [
-            {
-                "modulus": encode_int(rep.modulus),
-                "exponents": [[encode_int(v) for v in row] for row in rep.mat.tolist()],
-            }
-            for rep in desc.representatives
-        ],
+        "representatives": [_exponents_to_json(rep) for rep in desc.representatives],
     }
 
 
@@ -177,19 +175,6 @@ def cyclo_to_json(c):
     }
 
 
-def parse_cyclo(obj):
-    obj = _expect(obj, "scalar")
-    field = cyclo_field(decode_int(_field(obj, "M", "scalar"), "scalar modulus"))
-    coeffs = _field(obj, "coeffs", "scalar")
-    if not isinstance(coeffs, list) or len(coeffs) != field.degree:
-        raise ValidationError(
-            f"scalar: expected {field.degree} coefficient pairs")
-    return field.element([
-        Fraction(decode_int(p[0], "numerator"), decode_int(p[1], "denominator"))
-        for p in coeffs
-    ])
-
-
 def algebra_to_json(A, group_ref=None):
     if isinstance(A, GradedMatrixAlgebra):
         out = algebra_to_json(A.base, group_ref)
@@ -202,11 +187,7 @@ def algebra_to_json(A, group_ref=None):
             "kind": "twisted",
             "group": group_ref if group_ref is not None else group_to_json(A.ambient),
             "subgroup": list(A.subgroup.members),
-            "cocycle": {
-                "modulus": encode_int(A.sigma.modulus),
-                "exponents": [[encode_int(v) for v in row]
-                              for row in A.sigma.mat.tolist()],
-            },
+            "cocycle": _exponents_to_json(A.sigma),
             "field": A.field.modulus,
         }
     raise TypeError(f"not a graded algebra: {type(A).__name__}")
@@ -220,13 +201,7 @@ def parse_algebra(obj, groups=None):
     G = _resolve_group(_field(obj, "group", "algebra"), groups, "algebra")
     H = _parse_subgroup(G, _field(obj, "subgroup", "algebra"), "algebra")
     cfg = _expect(_field(obj, "cocycle", "algebra"), "algebra cocycle")
-    modulus = decode_int(_field(cfg, "modulus", "algebra cocycle"), "cocycle modulus")
-    mat = _field(cfg, "exponents", "algebra cocycle")
-    if not isinstance(mat, list) or len(mat) != H.order or any(
-            not isinstance(row, list) or len(row) != H.order for row in mat):
-        raise ValidationError("algebra: cocycle exponents must be a |H| x |H| matrix")
-    sigma = ExpCocycle(
-        H, modulus, [[decode_int(v, "cocycle exponent") for v in row] for row in mat])
+    sigma = _parse_exponents(cfg, H, "algebra cocycle")
     field = cyclo_field(decode_int(_field(obj, "field", "algebra"), "field modulus"))
     base = TwistedGroupAlgebra(H, sigma, field)
     if kind == "twisted":
@@ -238,37 +213,6 @@ def parse_algebra(obj, groups=None):
     if "k" in obj and decode_int(obj["k"], "algebra k") != A.k:
         raise ValidationError("algebra: k does not match the theta length")
     return A
-
-
-def element_to_json(elt):
-    terms = []
-    for key in sorted(elt.terms):
-        entry = {"c": cyclo_to_json(elt.terms[key])}
-        if isinstance(key, tuple):
-            entry["i"], entry["j"], entry["g"] = key.i, key.j, key.zeta
-        else:
-            entry["g"] = key
-        terms.append(entry)
-    return {"terms": terms}
-
-
-def parse_element(obj, algebra):
-    obj = _expect(obj, "element")
-    terms = _field(obj, "terms", "element")
-    mapping = {}
-    for entry in terms:
-        entry = _expect(entry, "element term")
-        c = parse_cyclo(_field(entry, "c", "element term"))
-        g = decode_int(_field(entry, "g", "element term"), "element degree")
-        if "i" in entry or "j" in entry:
-            key = MatBasisElt(decode_int(entry.get("i"), "row index"),
-                              decode_int(entry.get("j"), "column index"), g)
-        else:
-            key = g
-        if key in mapping:
-            raise ValidationError(f"element: duplicate term at {key}")
-        mapping[key] = c
-    return algebra.element(mapping)
 
 
 # -- polynomials and identity spaces -------------------------------------------
@@ -283,22 +227,6 @@ def poly_to_json(poly):
             for perm, c in sorted(poly.coeffs.items())
         ],
     }
-
-
-def parse_poly(obj):
-    obj = _expect(obj, "polynomial")
-    degs = [decode_int(g, "polynomial degree") for g in _field(obj, "degs", "polynomial")]
-    field = cyclo_field(decode_int(_field(obj, "field", "polynomial"), "polynomial field"))
-    coeffs = {}
-    for entry in _field(obj, "coeffs", "polynomial"):
-        entry = _expect(entry, "polynomial term")
-        perm = tuple(decode_int(i, "permutation entry")
-                     for i in _field(entry, "perm", "polynomial term"))
-        c = parse_cyclo(_field(entry, "c", "polynomial term"))
-        if c.field.modulus != field.modulus:
-            c = c.lift_to(field)
-        coeffs[perm] = c
-    return GradedMultilinearPoly(DegreeAssignment(degs), coeffs, field)
 
 
 def space_to_json(space):
@@ -374,11 +302,7 @@ def tower_to_json(rep):
     return {
         "subgroups": [list(H.members) for H in rep.subgroups],
         "cocycles": [
-            {
-                "subgroup": list(c.domain.members),
-                "modulus": encode_int(c.modulus),
-                "exponents": [[encode_int(v) for v in row] for row in c.mat.tolist()],
-            }
+            {"subgroup": list(c.domain.members), **_exponents_to_json(c)}
             for c in rep.cocycles
         ],
         "steps": [report_to_json(s) for s in rep.steps],
@@ -405,27 +329,6 @@ class Workspace:
         self.groups = dict(groups or {})
         self.cocycles = dict(cocycles or {})
         self.algebras = dict(algebras or {})
-
-
-def workspace_to_json(ws):
-    return {
-        "groups": {name: group_to_json(G) for name, G in sorted(ws.groups.items())},
-        "cocycles": {
-            name: cocycle_to_json(c, group_ref=_group_name(ws, c.domain.parent))
-            for name, c in sorted(ws.cocycles.items())
-        },
-        "algebras": {
-            name: algebra_to_json(a, group_ref=_group_name(ws, a.ambient))
-            for name, a in sorted(ws.algebras.items())
-        },
-    }
-
-
-def _group_name(ws, G):
-    for name, g in ws.groups.items():
-        if g is G:
-            return name
-    return None
 
 
 def parse_workspace(text):

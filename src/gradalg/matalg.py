@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
     VerificationFailed,
 )
-from .graded import GradedElement, GradedMap, MonomialAlgebra
+from .graded import GradedElement, GradedMap
 from .groups import normalizer
 from .twisted import TwistedGroupAlgebra
 
@@ -35,7 +35,7 @@ class MatBasisElt(NamedTuple):
     zeta: int
 
 
-class GradedMatrixAlgebra(MonomialAlgebra):
+class GradedMatrixAlgebra:
     """M_k(B) for a twisted group algebra B, graded by a degree tuple."""
 
     def __init__(self, base, theta):
@@ -157,27 +157,6 @@ class GradedMatrixAlgebra(MonomialAlgebra):
             key = MatBasisElt(*key)
             self.degree_of(key.i, key.j, key.zeta)
         return GradedElement(self, {MatBasisElt(*k): v for k, v in mapping.items()})
-
-    # -- checks -------------------------------------------------------------
-
-    def verify_grading(self):
-        """Exhaustively check deg(ab) = deg(a) deg(b) against the stored table."""
-        G = self.ambient
-        keys = self.basis_keys()
-        table = self.degrees
-        missing = object()
-        for key in keys:
-            if table.get(key, missing) is missing:
-                return False
-        for k1 in keys:
-            for k2 in keys:
-                hit = self.multiply_basis(k1, k2)
-                if hit is None:
-                    continue
-                _, out = hit
-                if table.get(out, missing) != G.mul(table[k1], table[k2]):
-                    return False
-        return True
 
     def with_field(self, field):
         if field.modulus == self.field.modulus:

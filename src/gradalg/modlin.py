@@ -33,11 +33,14 @@ from math import gcd
 
 import numpy as np
 
-from .errors import ModulusTooLarge
+from .errors import ModulusTooLarge, ValidationError
 
 
 def _check_int64(n_mod, width):
-    """Refuse a modulus whose width-term dot products could overflow int64."""
+    """Refuse a modulus below 1, or one whose width-term dot products could
+    overflow int64."""
+    if n_mod < 1:
+        raise ValidationError(f"modulus {n_mod} is not positive")
     if n_mod * n_mod * max(width, 1) >= 2 ** 63:
         raise ModulusTooLarge(
             f"modulus {n_mod} at width {width} overflows int64 arithmetic "
@@ -273,9 +276,6 @@ class RowReducer:
     def reduce_vector(self, vec):
         v = np.asarray(vec, dtype=np.int64) % self.N
         return self._combined().reduce(v[None, :])[0]
-
-    def contains(self, vec):
-        return not self.reduce_vector(vec).any()
 
     def _combined(self):
         if self._form is None:

@@ -17,13 +17,12 @@ from .errors import (
     DomainMismatch,
     FieldMismatch,
     NotACocycle,
-    ZeroElement,
 )
-from .graded import GradedElement, MonomialAlgebra
+from .graded import GradedElement
 from .groups import same_subgroup
 
 
-class TwistedGroupAlgebra(MonomialAlgebra):
+class TwistedGroupAlgebra:
     """F^sigma[H], graded by the ambient group of H."""
 
     def __init__(self, subgroup, sigma=None, field=None):
@@ -104,22 +103,6 @@ class TwistedGroupAlgebra(MonomialAlgebra):
         return GradedElement(self, mapping)
 
     # -- structure ----------------------------------------------------------
-
-    def homogeneous_inverse(self, elt):
-        """Inverse of a nonzero homogeneous element.
-
-        Every homogeneous component is one-dimensional and spanned by an
-        invertible element, so this never fails on valid input.
-        """
-        if elt.algebra != self:
-            raise DomainMismatch("element belongs to a different algebra")
-        if elt.is_zero():
-            raise ZeroElement("zero is not invertible")
-        x = elt.degree()
-        c = elt.terms[x]
-        xinv = self.ambient.inv(x)
-        scale = (c * self.sigma_value(x, xinv) * self.sigma_value(0, 0)).inv()
-        return GradedElement(self, {xinv: scale})
 
     def with_field(self, field):
         """The same algebra with coefficients in a larger cyclotomic field."""

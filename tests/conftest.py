@@ -1,6 +1,16 @@
 import pytest
 
 from gradalg.catalog import catalog_group, klein_sign_cocycle
+from gradalg.cocycles import ExpCocycle
+
+
+def lift(sig, modulus):
+    """sig at a multiple of its modulus: the same roots of unity, each
+    exponent scaled by modulus / sig.modulus."""
+    step, rem = divmod(modulus, sig.modulus)
+    if rem:
+        raise ValueError(f"{modulus} is not a multiple of {sig.modulus}")
+    return ExpCocycle(sig.domain, modulus, sig.mat * step)
 
 
 @pytest.fixture(scope="session")

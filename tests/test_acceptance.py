@@ -19,6 +19,7 @@ import pytest
 from gradalg import catalog
 from gradalg.catalog import _check_extension, catalog_group, criterion_numbers, run_criterion
 from gradalg.cocycles import all_classes, trivial_cocycle
+from gradalg.errors import ValidationError
 from gradalg.groups import Subgroup, cyclic, dihedral, product
 
 
@@ -29,8 +30,16 @@ def test_criterion(number):
     print(r.line())
     print(f"    {r.detail}")
     print(f"    runtime {r.runtime:.2f}s of {r.budget:.0f}s budget")
-    assert r.within_budget, f"runtime {r.runtime:.2f}s over the {r.budget:.0f}s budget"
+    assert r.runtime <= r.budget, f"runtime {r.runtime:.2f}s over the {r.budget:.0f}s budget"
     assert r.passed, r.detail
+
+
+def test_run_all_refuses_unknown_numbers_before_running(monkeypatch):
+    ran = []
+    monkeypatch.setattr(catalog, "run_criterion", ran.append)
+    with pytest.raises(ValidationError, match=r"\[99\]"):
+        catalog.run_all([3, 99])
+    assert ran == []
 
 
 def test_extension_check_catches_wrong_answers(monkeypatch):

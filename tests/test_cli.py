@@ -54,12 +54,6 @@ def files(tmp_path_factory):
     s3 = catalog_group("S3")
     a3 = Subgroup(s3, [0, 3, 4])
 
-    ws = jsonio.Workspace(
-        groups={"K": klein},
-        cocycles={"sig": sign},
-        algebras={"plain": plain, "signed": signed},
-    )
-
     objects = {
         "plain": jsonio.algebra_to_json(plain),
         "signed": jsonio.algebra_to_json(signed),
@@ -79,7 +73,12 @@ def files(tmp_path_factory):
         "tower_fail": jsonio.algebra_to_json(
             TwistedGroupAlgebra(v4_in_c2c4, klein_sign_cocycle(v4_in_c2c4))),
         "klein_table": jsonio.group_to_json(klein),
-        "ws": jsonio.workspace_to_json(ws),
+        "ws": {
+            "groups": {"K": jsonio.group_to_json(klein)},
+            "cocycles": {"sig": jsonio.cocycle_to_json(sign, group_ref="K")},
+            "algebras": {name: jsonio.algebra_to_json(a, group_ref="K")
+                         for name, a in (("plain", plain), ("signed", signed))},
+        },
     }
     paths = {}
     for name, obj in objects.items():
@@ -254,6 +253,47 @@ def test_cocycle_equiv_overflowing_modulus_exits_2(capsys, tmp_path):
     assert "2**63" in err
     code, obj, _ = run_json(capsys, "cocycle", "equiv", "--a", paths[0], "--b", paths[1])
     assert code == 0 and obj["equivalent"] is True
+
+
+@pytest.mark.parametrize("modulus", ["0", "-8"])
+def test_cocycle_equiv_nonpositive_modulus_exits_2(capsys, files, modulus):
+    """A working modulus of 0 was once dropped for the default, and -8 never
+    returned from snf_mod's pivot loop."""
+    code, out, err = run(capsys, "--modulus", modulus, "cocycle", "equiv",
+                         "--a", files["sig"], "--b", files["sig"])
+    assert (code, out) == (2, "")
+    assert "positive" in err
+
+
+# (kind, key path, value): one malformed field in an otherwise valid file
+_MALFORMED = {
+    "table_row": ("group", ("table", 1), 5),
+    "labels": ("group", ("labels",), 5),
+    "exponents_row": ("cocycle", ("exponents", 1), 5),
+    "modulus_0": ("cocycle", ("modulus",), 0),
+    "modulus_negative": ("cocycle", ("modulus",), -2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_json_exits_2(capsys, tmp_path, case):
+    kind, path, value = _MALFORMED[case]
+    klein = catalog_group("C2xC2")
+    if kind == "group":
+        obj = jsonio.group_to_json(klein)
+    else:
+        obj = jsonio.cocycle_to_json(klein_sign_cocycle(klein.full_subgroup()))
+    holder = obj[path[0]] if len(path) == 2 else obj
+    holder[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(jsonio.dumps(obj), encoding="utf-8")
+    if kind == "group":
+        argv = ("group", "--group", f"table:@{bad}")
+    else:
+        argv = ("cocycle", "order", "--cocycle", str(bad))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
 
 
 def test_cocycle_restrict(capsys, files):
@@ -543,3 +583,9 @@ def test_sweep_only_fast_criteria(capsys):
     lines = [ln for ln in out.splitlines() if ln.startswith("criterion")]
     assert len(lines) == 3
     assert all("PASS" in ln for ln in lines)
+
+
+def test_sweep_unknown_criterion_exits_2(capsys):
+    code, out, err = run(capsys, "sweep", "--only", "3,99")
+    assert (code, out) == (2, "")
+    assert "[99]" in err

@@ -55,6 +55,8 @@ from gradalg.modlin import (
 )
 from gradalg.twisted import TwistedGroupAlgebra
 
+from conftest import lift
+
 
 # -- table basics ------------------------------------------------------------
 
@@ -98,13 +100,20 @@ def test_is_cocycle_rejects_broken_tables(klein):
 
 
 def test_lift_and_scale(sign_cocycle):
-    lifted = sign_cocycle.lift(8)
+    lifted = lift(sign_cocycle, 8)
     assert lifted.modulus == 8
     assert is_cocycle(lifted)
     assert class_order(lifted) == 2
-    with pytest.raises(DomainMismatch):
-        sign_cocycle.lift(3)
+    assert classes_equivalent(lifted, sign_cocycle) is not None
     assert class_order(sign_cocycle.scaled(2)) == 1
+
+
+@pytest.mark.parametrize("modulus", [0, -2, -8])
+def test_nonpositive_modulus_is_refused(sign_cocycle, modulus):
+    with pytest.raises(DomainMismatch, match="not positive"):
+        ExpCocycle(sign_cocycle.domain, modulus, sign_cocycle.mat)
+    with pytest.raises(DomainMismatch, match="positive multiple"):
+        classes_equivalent(sign_cocycle, sign_cocycle, working_modulus=modulus)
 
 
 # -- coboundaries and equivalence ---------------------------------------------
@@ -129,12 +138,12 @@ def test_equivalence_witness_contract(klein, sign_cocycle):
     H = klein.full_subgroup()
     vec = np.array([0, 1, 3, 1])
     rho = ExpCocycle(
-        H, 4, (sign_cocycle.lift(4).mat + coboundary_from(ExpFunction(H, 4, vec)).mat) % 4)
+        H, 4, (lift(sign_cocycle, 4).mat + coboundary_from(ExpFunction(H, 4, vec)).mat) % 4)
     assert is_cocycle(rho)
     f = classes_equivalent(sign_cocycle, rho)
     assert f is not None
     m_w = f.modulus
-    lifted = (sign_cocycle.lift(m_w).mat - rho.lift(m_w).mat) % m_w
+    lifted = (lift(sign_cocycle, m_w).mat - lift(rho, m_w).mat) % m_w
     assert (coboundary_from(f).mat == lifted).all()
 
 
@@ -206,7 +215,7 @@ def test_conjugate_class_reuses_the_conjugate_subgroup(s3):
     subgroup, kept in the parent's store, and the table is the one that
     moving each entry on its own gives."""
     H = Subgroup(s3, (0, s3.element_by_label("(123)"), s3.element_by_label("(132)")))
-    for xi in s3.elements():
+    for xi in range(s3.order):
         sig = ExpCocycle(H, 3, coboundary_from(ExpFunction(H, 3, [0, 1, 2])).mat)
         first, second = conjugate_class(sig, xi), conjugate_class(sig, xi)
         assert first.domain is second.domain
@@ -216,7 +225,7 @@ def test_conjugate_class_reuses_the_conjugate_subgroup(s3):
             for j, b in enumerate(H.members):
                 loop[K.position(s3.conj(a, xi)), K.position(s3.conj(b, xi))] = sig.mat[i, j]
         assert np.array_equal(first.mat, loop)
-    assert len({conjugate_class(sig, xi).domain.members for xi in s3.elements()}) == 1
+    assert len({conjugate_class(sig, xi).domain.members for xi in range(s3.order)}) == 1
 
 
 def _identity_by_loops(sig):
@@ -237,7 +246,7 @@ def test_cocycle_identity_matches_the_triple_loop(name):
     H = G.full_subgroup()
     m = 2 * G.exponent
     rng = np.random.default_rng(len(name))
-    tables = [klein_sign_cocycle(H).lift(m).mat] if name == "C2xC2" else []
+    tables = [lift(klein_sign_cocycle(H), m).mat] if name == "C2xC2" else []
     tables.append(coboundary_from(ExpFunction(H, m, rng.integers(0, m, H.order))).mat)
     for _ in range(3):
         bad = tables[0].copy()
@@ -252,7 +261,7 @@ def test_cocycle_identity_matches_the_triple_loop(name):
 
 
 def test_conjugation_by_subgroup_element_preserves_class(klein, sign_cocycle):
-    for xi in klein.elements():
+    for xi in range(klein.order):
         moved = conjugate_class(sign_cocycle, xi)
         assert classes_equivalent(moved, sign_cocycle) is not None
 
@@ -502,7 +511,7 @@ def test_cocycle_validity_is_checked_once_per_object(monkeypatch, sign_cocycle):
                         lambda s: checked.append(s) or real(s))
     H = sign_cocycle.domain
     sig = ExpCocycle(H, 2, sign_cocycle.mat)
-    rho = ExpCocycle(H, 4, sig.lift(4).mat + coboundary_from(ExpFunction(H, 4, [1, 2, 3, 1])).mat)
+    rho = ExpCocycle(H, 4, lift(sig, 4).mat + coboundary_from(ExpFunction(H, 4, [1, 2, 3, 1])).mat)
     assert is_cocycle(sig) and is_cocycle(sig)
     TwistedGroupAlgebra(H, sig)
     normalize(sig)
@@ -590,7 +599,7 @@ def _bar_extend_solver(G, H, m_w):
 
 
 def _bar_normalized(sig, m_w):
-    mat = sig.lift(m_w).mat
+    mat = lift(sig, m_w).mat
     return _bar((mat - mat[0, 0]) % m_w)
 
 

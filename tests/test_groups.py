@@ -25,11 +25,19 @@ from gradalg.groups import (
 )
 
 
+def _abelian(G):
+    return len(G.center) == G.order
+
+
+def _normal(H):
+    return normalizer(H.parent, H).order == H.parent.order
+
+
 class TestConstructors(unittest.TestCase):
     def test_cyclic_basics(self):
         G = cyclic(6)
         self.assertEqual(G.order, 6)
-        self.assertTrue(G.is_abelian)
+        self.assertTrue(_abelian(G))
         self.assertEqual(G.exponent, 6)
         for a in range(6):
             for b in range(6):
@@ -46,31 +54,31 @@ class TestConstructors(unittest.TestCase):
     def test_dihedral(self):
         G = dihedral(4)
         self.assertEqual(G.order, 8)
-        self.assertFalse(G.is_abelian)
+        self.assertFalse(_abelian(G))
         self.assertEqual(len(G.center), 2)
         # rotations form an index-2 cyclic subgroup
         rot = Subgroup(G, range(4))
-        self.assertTrue(rot.is_normal())
+        self.assertTrue(_normal(rot))
         self.assertEqual(rot.as_group().exponent, 4)
 
     def test_dihedral_small_is_abelian(self):
-        self.assertTrue(dihedral(1).is_abelian)
-        self.assertTrue(dihedral(2).is_abelian)
+        self.assertTrue(_abelian(dihedral(1)))
+        self.assertTrue(_abelian(dihedral(2)))
 
     def test_quaternion(self):
         G = quaternion8()
         self.assertEqual(G.order, 8)
-        self.assertFalse(G.is_abelian)
-        involutions = [x for x in G.elements() if G.element_order(x) == 2]
+        self.assertFalse(_abelian(G))
+        involutions = [x for x in range(G.order) if G.element_order(x) == 2]
         self.assertEqual(len(involutions), 1)
         self.assertEqual(G.center, (0, involutions[0]))
-        self.assertTrue(all(H.is_normal() for H in enumerate_subgroups(G)))
+        self.assertTrue(all(_normal(H) for H in enumerate_subgroups(G)))
 
     def test_symmetric(self):
         G = symmetric(3)
         self.assertEqual(G.order, 6)
-        self.assertFalse(G.is_abelian)
-        self.assertFalse(all(H.is_normal() for H in enumerate_subgroups(G)))
+        self.assertFalse(_abelian(G))
+        self.assertFalse(all(_normal(H) for H in enumerate_subgroups(G)))
         self.assertEqual(symmetric(4).order, 24)
         # composition convention: (12) then (23) maps 1 -> 2 -> 3
         t12 = G.element_by_label("(12)")
@@ -80,17 +88,17 @@ class TestConstructors(unittest.TestCase):
 
     def test_symmetric_labels_round_trip(self):
         G = symmetric(3)
-        for x in G.elements():
+        for x in range(G.order):
             self.assertEqual(G.element_by_label(G.label_of(x)), x)
 
     def test_product(self):
         G = product(cyclic(2), cyclic(4))
         self.assertEqual(G.order, 8)
-        self.assertTrue(G.is_abelian)
+        self.assertTrue(_abelian(G))
         self.assertEqual(G.exponent, 4)
         H = product(cyclic(2), symmetric(3))
         self.assertEqual(H.order, 12)
-        self.assertFalse(H.is_abelian)
+        self.assertFalse(_abelian(H))
 
     def test_parse_spec(self):
         self.assertEqual(parse_spec("C4").order, 4)
@@ -192,7 +200,7 @@ class TestSubgroups(unittest.TestCase):
 
     def test_conjugates_of_transposition_subgroup(self):
         H = self.gen(self.t12)
-        seen = {conjugate_subgroup(H, d).members for d in self.S3.elements()}
+        seen = {conjugate_subgroup(H, d).members for d in range(self.S3.order)}
         expected = {self.gen(t).members for t in (self.t12, self.t13, self.t23)}
         self.assertEqual(seen, expected)
 
