@@ -102,12 +102,13 @@ class ExpFunction:
     def entry(self, x):
         return int(self.vec[self.domain.position(x)])
 
-    def value(self, field, x):
+    def exponents(self, field):
+        """The values as exponents of the field's root zeta_M, in member order."""
         step, rem = divmod(field.modulus, self.modulus)
         if rem:
             raise DomainMismatch(
                 f"field of order-{field.modulus} roots cannot hold modulus-{self.modulus} exponents")
-        return field.root(self.entry(x) * step)
+        return self.vec * step
 
     def __repr__(self):
         return f"ExpFunction(|H|={self.domain.order}, M={self.modulus})"
@@ -130,9 +131,10 @@ def trivial_cocycle(domain: Subgroup, modulus=None) -> ExpCocycle:
 
 def _pos_mul(H: Subgroup):
     # position-indexed multiplication table of the subgroup
-    G = H.parent
-    return G.cached(("posmul", H.members), lambda: np.array(
-        [[H.position(G.mul(a, b)) for b in H.members] for a in H.members], dtype=np.int64))
+    def build():
+        mem = H.member_array
+        return H.position_array[H.parent.mul_array[mem[:, None], mem[None, :]]]
+    return H.parent.cached(("posmul", H.members), build)
 
 
 def is_cocycle(sig: ExpCocycle) -> bool:
@@ -193,8 +195,8 @@ def conjugate_class(sig: ExpCocycle, xi) -> ExpCocycle:
     xi = int(xi)
     K = G.cached(("conj", H.members, xi), lambda: conjugate_subgroup(H, xi))
     mat = np.zeros_like(sig.mat)
-    cpos = [K.position(G.conj(a, xi)) for a in H.members]
-    mat[np.ix_(cpos, cpos)] = sig.mat
+    cpos = K.position_array[G.mul_array[G.mul_array[xi, H.member_array], G.inv_array[xi]]]
+    mat[cpos[:, None], cpos[None, :]] = sig.mat
     return ExpCocycle(K, sig.modulus, mat)
 
 
@@ -475,11 +477,12 @@ def h2_over_Fstar(G: FiniteGroup, order_cap=None) -> H2Description:
         GE = (e * KM) % N
         k = GE.shape[0]
         sysmat = np.concatenate([GE.T, (-fr.coboundary) % N], axis=1)
+        # kernel_mod's rows are a reduced Howell basis; cut to the first k
+        # coordinates, the nonzero ones are a reduced Howell basis of the
+        # relations, so they need no second reduction
         rel = kernel_mod(sysmat, N)[:, :k]
-        rel_basis = howell_reduce(rel, N).basis() if rel.shape[0] else rel
-        if rel_basis.shape[0] == 0:
-            rel_basis = np.zeros((0, k), dtype=np.int64)
-        snf = snf_mod(rel_basis, N, want_v=True)
+        rel = rel[rel.any(axis=1)]
+        snf = snf_mod(rel, N, want_v=True)
         eb = howell_reduce((rel @ GE) % N, N) if rel.shape[0] else RowReducer(N, GE.shape[1])
         factors = []
         reps = []

@@ -8,7 +8,6 @@ produce a silently wrong yes.  No answers carry structured reasons.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 import numpy as np
@@ -123,52 +122,33 @@ def verify_graded_monomorphism(gmap, A, B):
     """Check that the monomial map gmap is an injective graded algebra map
     from A to B.
 
-    Degree preservation reads B's stored degree data, and injectivity means
-    distinct targets.  Multiplicativity is checked on every basis pair in
-    exponent form against both algebras' structure-constant grids.  Returns
-    a bool and never raises on a bad map.
+    Degree preservation compares the two algebras' degree arrays at the
+    map's target positions, and injectivity means distinct target
+    positions.  Multiplicativity is checked on every basis pair in exponent
+    form against both algebras' structure-constant grids.  Returns a bool
+    and never raises on a bad map.
     """
     if gmap.source != A or gmap.target != B:
         return False
     if A.field.modulus != B.field.modulus:
         return False
-    keys = A.basis_keys()
-    assign = [gmap.assign[key] for key in keys]
-    bpos = {bk: i for i, bk in enumerate(B.basis_keys())}
-    for key, (_, bk) in zip(keys, assign):
-        if bk not in bpos or B.degree_of_key(bk) != A.degree_of_key(key):
-            return False
-    mono = _monomial_form(assign, bpos, A.field.modulus)
-    targets = mono[0]
-    return (len(set(targets.tolist())) == targets.size
-            and _exp_products_agree(A, B, *mono))
+    targets = gmap.targets
+    return (np.array_equal(B.basis_degrees()[targets], A.basis_degrees())
+            and np.bincount(targets).max() == 1
+            and _exp_products_agree(gmap))
 
 
-def _monomial_form(assign, bpos, M):
-    """The map e_a -> c_a e_t(a), given as (c_a, t(a)) pairs in A's basis
-    order, as (targets, s, mags, mag_of): B positions t, exponents s with
-    c_a = |q| zeta_2M^s, the distinct magnitudes |q| and each image's index
-    among them, a magnitude as (numerator, denominator).
-
-    c = q zeta_M^k is |q| zeta_2M^(2k + M [q < 0]); the form is unique,
-    because a positive rational that is a root of unity is 1."""
-    targets, s, mag_of, mags = [], [], [], {}
-    for c, bk in assign:
-        q, k = c.as_monomial()
-        targets.append(bpos[bk])
-        s.append(2 * k + (M if q.numerator < 0 else 0))
-        mag_of.append(mags.setdefault((abs(q.numerator), q.denominator), len(mags)))
-    return np.array(targets), np.array(s), list(mags), np.array(mag_of)
-
-
-def _exp_products_agree(A, B, targets, s, mags, mag_of):
+def _exp_products_agree(gmap):
     """Multiplicativity of the monomial map e_a -> |q_a| zeta_2M^s_a e_t(a)
-    on every pair of A's basis positions, _BLOCK_ROWS source rows at a time.
+    on every pair of its source's basis positions, _BLOCK_ROWS source rows
+    at a time.
 
     Where A has e_a e_b = zeta_M^e e_out and B has e_t(a) e_t(b) =
     zeta_M^f e_u, the map respects the product exactly when u = t(out),
     s_a + s_b + 2f = s_out + 2e (mod 2M) and |q_a| |q_b| = |q_out|; where
     one side is zero the other must be too."""
+    A, B = gmap.source, gmap.target
+    targets, s, mags, mag_of = gmap.targets, gmap.exps, gmap.mags, gmap.mag_of
     two_m = 2 * A.field.modulus
     index = {m: n for n, m in enumerate(mags)}
     n = targets.size
@@ -187,17 +167,13 @@ def _exp_products_agree(A, B, targets, s, mags, mag_of):
         a = rows[r]
         if ((s[a] + s[c] + 2 * exp_b[r, c] - s[o] - 2 * exp_a[r, c]) % two_m).any():
             return False
+        if mags == (1,):  # every magnitude is 1, so they multiply
+            continue
         row_mags = sorted(set(mag_of[rows].tolist()))
-        table = np.array([[index.get(_times(mags[x], m), -1) for m in mags] for x in row_mags])
+        table = np.array([[index.get(mags[x] * m, -1) for m in mags] for x in row_mags])
         if not np.array_equal(table[np.searchsorted(row_mags, mag_of[a]), mag_of[c]], mag_of[o]):
             return False
     return True
-
-
-def _times(x, y):
-    """Product of two magnitudes in lowest terms."""
-    p = Fraction(x[0] * y[0], x[1] * y[1])
-    return p.numerator, p.denominator
 
 
 def verify_graded_isomorphism(gmap, A, B):
@@ -223,9 +199,10 @@ def _tga_witness(B1, B2, f, field=None):
         field = cyclo_field(lcm(B1.field.modulus, B2.field.modulus, f.modulus))
     S = B1.with_field(field)
     T = B2.with_field(field)
-    assign = {x: (f.value(field, x), x) for x in S.basis_keys()}
-    return TgaEmbedWitness(f=f, source=S, target=T,
-                           map=GradedMap.monomial(S, T, assign))
+    # eta_x -> f(x) eta_x, f(x) = zeta_M^e = zeta_2M^(2e)
+    targets = T.subgroup.position_array[S.subgroup.member_array]
+    return TgaEmbedWitness(f=f, source=S, target=T, map=GradedMap._from_arrays(
+        S, T, targets, 2 * f.exponents(field)))
 
 
 def twisted_embed(B1, B2, field=None):
@@ -279,12 +256,14 @@ def _matrix_witness(A1, A2, delta, matching, shifts, f, field, want_iso):
         alpha=tuple([m + 1 for m in matching] + [i + 1 for i in spare]),
         xis=tuple([shifts[j][matching[j]] for j in range(k1)] + [0] * (k2 - k1)))
     regraded, psi = regrade_iso(A2F, lam)
-    # the first k1 regraded slots now carry A1's degree tuple, so the
-    # scalar-twisted corner map is degree preserving
-    corner = GradedMap.monomial(
-        A1F, regraded,
-        {key: (f.value(field, key.zeta), key) for key in A1F.basis_keys()})
     tga = _tga_witness(A1F.base, regraded.base, f, field)
+    # the first k1 regraded slots now carry A1's degree tuple, so the
+    # corner map E_ij eta_z -> f(z) E_ij eta_z, the twist of tga in every
+    # cell (i, j), is degree preserving
+    slot = np.arange(k1)
+    cell = (slot[:, None] * k2 + slot[None, :])[:, :, None] * regraded.subgroup.order
+    corner = GradedMap._from_arrays(
+        A1F, regraded, (cell + tga.map.targets).reshape(-1), np.tile(tga.map.exps, k1 * k1))
     witness = MatrixEmbedWitness(
         tga=tga,
         delta=delta,
@@ -436,7 +415,7 @@ def _corner_square(B1, B2, k, t):
         raise VerificationFailed("a corner embedding of the square was refused")
     path_over = top.witness.map.then(right.witness.map)
     path_under = left.witness.map.then(bottom.witness.map)
-    commutes = path_over.assign == path_under.assign
+    commutes = path_over.images == path_under.images
     return SquareReport(top=top, left=left, right=right, bottom=bottom,
                         commutes=commutes)
 

@@ -6,19 +6,21 @@ spec strings ("C4", "C2xC2", "D4", "Q8", "S3", products of those) or from an
 explicit table, and are validated on construction.
 
 Cache policy: every value derived from a table (exponent, center, subgroup
-list, normalizers, and the cohomology layer's frames, kernels, solvers and
-H^2) is computed once and kept on that group object through
-FiniteGroup.cached, the one store. A value of a subgroup is kept in its
-parent's store under (name, members), so equal Subgroup objects share it;
-Subgroup itself keeps no cache. Nothing is evicted: the store lives and
-dies with the group object, so a fresh relabeling of the same table pays
-the full cost again.
+list, normalizers, the table and member lists as numpy arrays, and the
+cohomology layer's frames, kernels, solvers and H^2) is computed once and
+kept on that group object through FiniteGroup.cached, the one store. A
+value of a subgroup is kept in its parent's store under (name, members),
+so equal Subgroup objects share it; Subgroup itself keeps no cache. Nothing
+is evicted: the store lives and dies with the group object, so a fresh
+relabeling of the same table pays the full cost again.
 """
 from __future__ import annotations
 
 import itertools
 import re
 from math import lcm
+
+import numpy as np
 
 from .config import DEFAULT_ORDER_CAP
 from .errors import AmbientMismatch, NotASubgroup, OrderCapExceeded, SpecMalformed, TableInvalid
@@ -85,6 +87,16 @@ class FiniteGroup:
     def conj(self, a, by):
         """Conjugate of a: by * a * by^-1."""
         return self.mul(self.mul(by, a), self.inv(by))
+
+    @property
+    def mul_array(self):
+        """The multiplication table as a read-only int64 array."""
+        return self.cached("mul_array", lambda: _frozen(self.mul_table))
+
+    @property
+    def inv_array(self):
+        """The inverse of each element as a read-only int64 array."""
+        return self.cached("inv_array", lambda: _frozen(self.inv_table))
 
     def cached(self, key, build):
         """The value stored under key, from build() on the first call.
@@ -189,6 +201,22 @@ class Subgroup:
         return self.parent.cached((name, self.members), build)
 
     @property
+    def member_array(self):
+        """The members as a read-only int64 array."""
+        return self._cached("member_array", lambda: _frozen(self.members))
+
+    @property
+    def position_array(self):
+        """position(x) for every parent element x as a read-only int64
+        array, -1 outside the subgroup."""
+        def build():
+            out = np.full(self.parent.order, -1, dtype=np.int64)
+            out[list(self.members)] = np.arange(self.order)
+            out.setflags(write=False)
+            return out
+        return self._cached("position_array", build)
+
+    @property
     def exponent(self):
         return self._cached("exponent", lambda: lcm(*map(self.parent.element_order, self.members)))
 
@@ -207,6 +235,12 @@ class Subgroup:
 
     def __repr__(self):
         return f"Subgroup({self.parent.name}, {list(self.members)})"
+
+
+def _frozen(values):
+    out = np.array(values, dtype=np.int64)
+    out.setflags(write=False)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,7 @@ class GradedMatrixAlgebra:
         self.theta = theta
         self.k = len(theta)
         self._keys = None
+        self._degree_array = None
         self._degrees = None
 
     @property
@@ -82,16 +83,21 @@ class GradedMatrixAlgebra:
                 for i in range(1, k + 1) for j in range(1, k + 1) for z in members)
         return self._keys
 
+    def basis_degrees(self):
+        """The degrees theta_i^-1 zeta theta_j in basis_keys() order, as an
+        int64 array built once."""
+        if self._degree_array is None:
+            G = self.ambient
+            mul, th = G.mul_array, np.array(self.theta)
+            left = mul[G.inv_array[th][:, None], self.subgroup.member_array[None, :]]
+            self._degree_array = mul[left[:, None, :], th[None, :, None]].reshape(-1)
+        return self._degree_array
+
     @property
     def degrees(self):
         """Stored degree table, built once: key -> theta_i^-1 zeta theta_j."""
         if self._degrees is None:
-            G = self.ambient
-            th = self.theta
-            self._degrees = {
-                key: G.mul(G.mul(G.inv(th[key.i - 1]), key.zeta), th[key.j - 1])
-                for key in self.basis_keys()
-            }
+            self._degrees = dict(zip(self.basis_keys(), self.basis_degrees().tolist()))
         return self._degrees
 
     def degree_of_key(self, key):
@@ -314,28 +320,37 @@ def regrade_iso(algebra, witness):
     phi sends E_ij eta_zeta to a scalar multiple of one target basis
     element.  The scalar realizes the slot shifts as conjugation by an
     invertible homogeneous diagonal, so phi is a graded isomorphism.
+
+    With a = alpha^-1(i), b = alpha^-1(j), x = xi_a, y = xi_b and r the
+    cocycle's exponents, E_ij eta_zeta goes to
+    zeta_M^(r(x, zeta) + r(x zeta, y^-1) - r(y, y^-1) - r(e, e)) times
+    E_ab eta_(delta x zeta y^-1 delta^-1), computed for every basis
+    position at once.
     """
     witness.validate(algebra)
-    G = algebra.ambient
+    G, H = algebra.ambient, algebra.subgroup
     sigma = algebra.sigma
     field = algebra.field
-    step = field.modulus // sigma.modulus
-    r = sigma.entry
     delta = witness.delta
     rho = conjugate_class(sigma, delta)
     target = GradedMatrixAlgebra(
-        TwistedGroupAlgebra(algebra.subgroup, rho, field),
+        TwistedGroupAlgebra(H, rho, field),
         witness.target_tuple(algebra))
-    inv_alpha = {witness.alpha[j]: j + 1 for j in range(algebra.k)}
-    assign = {}
-    for key in algebra.basis_keys():
-        a = inv_alpha[key.i]
-        b = inv_alpha[key.j]
-        xa = witness.xis[a - 1]
-        xb = witness.xis[b - 1]
-        xb_inv = G.inv(xb)
-        left = G.mul(xa, key.zeta)
-        coef = field.root(
-            (r(xa, key.zeta) + r(left, xb_inv) - r(xb, xb_inv) - r(0, 0)) * step)
-        assign[key] = (coef, MatBasisElt(a, b, G.conj(G.mul(left, xb_inv), delta)))
-    return target, GradedMap.monomial(algebra, target, assign)
+    k, h = algebra.k, H.order
+    mul, inv, where, r = G.mul_array, G.inv_array, H.position_array, sigma.mat
+    # slot[i] = alpha^-1(i + 1) - 1, the 0-based target slot of source slot i
+    slot = np.empty(k, dtype=np.int64)
+    slot[np.array(witness.alpha) - 1] = np.arange(k)
+    x = np.array(witness.xis)[slot]
+    y_inv = inv[x]
+    # axes (i, j, zeta) in basis_keys() order
+    left = mul[x[:, None], H.member_array[None, :]]
+    exp = (r[where[x][:, None], np.arange(h)[None, :]][:, None, :]
+           + r[where[left][:, None, :], where[y_inv][None, :, None]]
+           - r[where[x], where[y_inv]][None, :, None] - r[0, 0])
+    moved = mul[mul[delta, mul[left[:, None, :], y_inv[None, :, None]]], inv[delta]]
+    cell = slot[:, None, None] * k + slot[None, :, None]
+    targets = cell * h + where[moved]
+    step = field.modulus // sigma.modulus
+    return target, GradedMap._from_arrays(
+        algebra, target, targets.reshape(-1), 2 * step * exp.reshape(-1))

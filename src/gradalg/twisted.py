@@ -9,9 +9,7 @@ inside an explicit cyclotomic field.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .cocycles import is_cocycle, trivial_cocycle
+from .cocycles import _pos_mul, is_cocycle, trivial_cocycle
 from .cyclo import cyclo_field
 from .errors import (
     DomainMismatch,
@@ -58,6 +56,10 @@ class TwistedGroupAlgebra:
     def degree_of_key(self, key):
         return key
 
+    def basis_degrees(self):
+        """The degree of each basis position: the members, as an int64 array."""
+        return self.subgroup.member_array
+
     def support(self):
         return self._member_set
 
@@ -72,12 +74,7 @@ class TwistedGroupAlgebra:
         """multiply_basis_exp for the basis positions in rows against every
         basis position, as two (len(rows), dim) arrays: exponents and product
         positions, all in basis_keys() order."""
-        G = self.ambient
-        members = np.asarray(self.subgroup.members)
-        where = np.full(G.order, -1, dtype=np.int64)
-        where[members] = np.arange(members.size)
-        prod = np.array([G.mul_table[m] for m in members[rows]], dtype=np.int64)
-        return self.sigma.mat[rows] * self._step, where[prod[:, members]]
+        return self.sigma.mat[rows] * self._step, _pos_mul(self.subgroup)[rows]
 
     # -- element constructors ---------------------------------------------
 

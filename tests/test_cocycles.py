@@ -405,6 +405,33 @@ def test_h2_checks_its_own_factors_and_representatives(monkeypatch):
         h2_over_Fstar(product(cyclic(2), cyclic(2)))
 
 
+# every nontrivial catalog group, and larger ones up to order 64
+HOWELL_SPECS = [name for name, G, _ in catalog_groups() if G.order > 1] + [
+    "D6", "C2xC6", "C3xS3", "S4", "C2xC4xC4", "C4xC4xC4", "D4xQ8", "C2xC2xC2xC2xC2xC2"]
+
+
+def test_h2_relations_are_a_reduced_howell_basis(monkeypatch):
+    """The relation rows h2_over_Fstar hands to snf_mod, kernel_mod's rows
+    cut to the cocycle coordinates with the zero ones dropped, are their own
+    reduced Howell basis: a Howell basis projected onto its leading
+    coordinates, keeping the rows whose pivot lies there, is the Howell
+    basis of the projection."""
+    seen = []
+
+    def spy(A, N, **kwargs):
+        seen.append((A, N))
+        return snf_mod(A, N, **kwargs)
+
+    monkeypatch.setattr(cocycles, "snf_mod", spy)
+    assert len(HOWELL_SPECS) == 33
+    for spec in HOWELL_SPECS:
+        seen.clear()
+        h2_over_Fstar(parse_spec(spec))  # a fresh group, so nothing is cached
+        (rel, N), = seen
+        assert rel.shape[0] and rel.any(axis=1).all(), spec
+        assert np.array_equal(howell_reduce(rel, N).basis(), rel), spec
+
+
 class _StubSolver:
     """Answers solvable from the `hit`-th right-hand side on, never if hit is None."""
 

@@ -1,7 +1,12 @@
 """Embedding and isomorphism decisions, product assignments, and towers."""
 import functools
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,12 +48,17 @@ from gradalg.errors import (
     ValidationError,
     VerificationFailed,
 )
-from gradalg.graded import GradedMap
+from gradalg.graded import GradedElement, GradedMap
 from gradalg.groups import Subgroup, cyclic, enumerate_subgroups, normalizer, product
 from gradalg.matalg import GradedMatrixAlgebra, LambdaWitness, MatBasisElt, regrade_iso
 from gradalg.twisted import TwistedGroupAlgebra
 
 from conftest import lift
+
+
+def _monomial(A, B, assign):
+    """The map GradedMap(A, B, images) with assign: key -> (coef, target key)."""
+    return GradedMap(A, B, {key: GradedElement(B, {t: c}) for key, (c, t) in assign.items()})
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +147,7 @@ def test_verify_rejects_non_multiplicative_map(klein, sign_cocycle):
     full = klein.full_subgroup()
     plain = TwistedGroupAlgebra(full)
     signed = TwistedGroupAlgebra(full, lift(sign_cocycle, 4))
-    ident = GradedMap.monomial(
+    ident = _monomial(
         plain, signed, {x: (signed.field.one(), x) for x in plain.basis_keys()})
     assert not verify_graded_monomorphism(ident, plain, signed)
 
@@ -146,7 +156,7 @@ def test_verify_rejects_degree_violation(klein):
     full = klein.full_subgroup()
     plain = TwistedGroupAlgebra(full)
     swap = {0: 0, 1: 2, 2: 1, 3: 3}
-    gmap = GradedMap.monomial(
+    gmap = _monomial(
         plain, plain, {x: (plain.field.one(), swap[x]) for x in plain.basis_keys()})
     assert not verify_graded_monomorphism(gmap, plain, plain)
 
@@ -423,11 +433,7 @@ def _products_agree(gmap):
 
 def _both_product_checks(gmap):
     """(exponent-form check, GradedElement check) of multiplicativity."""
-    A, B = gmap.source, gmap.target
-    bpos = {bk: i for i, bk in enumerate(B.basis_keys())}
-    assign = [gmap.assign[key] for key in A.basis_keys()]
-    mono = embed._monomial_form(assign, bpos, A.field.modulus)
-    return embed._exp_products_agree(A, B, *mono), _products_agree(gmap)
+    return embed._exp_products_agree(gmap), _products_agree(gmap)
 
 
 def _reference_verdict(gmap):
@@ -489,7 +495,7 @@ def _conjugated(data, gmap):
     composed as monomial data and checked against GradedElement images."""
     S = gmap.source
     d = [data.draw(st.sampled_from(MAGNITUDES), label="diagonal") for _ in range(S.k)]
-    conj = GradedMap.monomial(S, S, {key: (S.field.from_fraction(d[key.i - 1] / d[key.j - 1]), key)
+    conj = _monomial(S, S, {key: (S.field.from_fraction(d[key.i - 1] / d[key.j - 1]), key)
                                      for key in S.basis_keys()})
     composed = conj.then(gmap)
     for key, img in conj.images.items():
@@ -503,7 +509,7 @@ def _corrupted(data, gmap):
     of unity, two targets swapped, a repeated target, or a target moved to
     another column, which sends a product onto a zero."""
     A, B = gmap.source, gmap.target
-    assign = dict(gmap.assign)
+    assign = {key: (c, t) for key, img in gmap.images.items() for t, c in img.terms.items()}
     keys = list(assign)
     a = data.draw(st.sampled_from(keys), label="key")
     b = data.draw(st.sampled_from([k for k in keys if k != a] or keys), label="other key")
@@ -525,7 +531,7 @@ def _corrupted(data, gmap):
         assign[a] = (ca, tb)
     else:
         assign[a] = (ca, MatBasisElt(ta.i, ta.j % B.k + 1, ta.zeta))
-    return GradedMap.monomial(A, B, assign)
+    return _monomial(A, B, assign)
 
 
 def _random_monomial(data, name, A):
@@ -540,7 +546,7 @@ def _random_monomial(data, name, A):
         q = data.draw(st.sampled_from(MAGNITUDES), label="magnitude")
         e = data.draw(st.integers(0, F.modulus - 1), label="exponent")
         assign[key] = (F.root(e) * q, data.draw(st.sampled_from(bkeys), label="target"))
-    return GradedMap.monomial(A, B, assign)
+    return _monomial(A, B, assign)
 
 
 def _permuted(data, A):
@@ -550,13 +556,13 @@ def _permuted(data, A):
     T = TwistedGroupAlgebra(A.subgroup)
     keys = list(T.basis_keys())
     perm = data.draw(st.permutations(keys), label="permutation")
-    return GradedMap.monomial(T, T, {key: (T.field.one(), t) for key, t in zip(keys, perm)})
+    return _monomial(T, T, {key: (T.field.one(), t) for key, t in zip(keys, perm)})
 
 
 def _collapse(A):
     """E_ij eta_z -> eta_z from a matrix algebra onto its base: right on
     every nonzero product, wrong on every zero one."""
-    return GradedMap.monomial(A, A.base, {key: (A.field.one(), key.zeta) for key in A.basis_keys()})
+    return _monomial(A, A.base, {key: (A.field.one(), key.zeta) for key in A.basis_keys()})
 
 
 @given(data=st.data())
@@ -583,6 +589,47 @@ def test_exponent_check_agrees_with_graded_products(data):
     assert verify_graded_monomorphism(gmap, gmap.source, gmap.target) == _reference_verdict(gmap)
 
 
+def _random_bijection(data, A):
+    """A permutation of A's basis with random coefficients: rational
+    magnitudes, signs and roots of unity of any order in the field."""
+    keys = list(A.basis_keys())
+    perm = data.draw(st.permutations(keys), label="permutation")
+    F = A.field
+    return _monomial(A, A, {
+        key: (F.root(data.draw(st.integers(0, F.modulus - 1), label="exponent"))
+              * data.draw(st.sampled_from(MAGNITUDES), label="magnitude"), t)
+        for key, t in zip(keys, perm)})
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_then_and_invert_match_graded_element_arithmetic(data):
+    """Composition gathers and inversion scatters the arrays; both agree
+    with applying the maps to GradedElements, over fields of odd and even
+    root order."""
+    name = data.draw(st.sampled_from(GRID_GROUPS), label="group")
+    A = _draw_algebra(data, name, max_dim=36)
+    A = A.with_field(cyclo_field(lcm(A.field.modulus, data.draw(st.sampled_from((1, 3, 5))))))
+    f, g = _random_bijection(data, A), _random_bijection(data, A)
+    fg, inv = f.then(g), f.invert()
+    for key, img in f.images.items():
+        (t, c), = img.terms.items()
+        assert fg.image(key) == g.image(t).scaled(c)
+        assert inv.image(t) == GradedElement(A, {key: c.inv()})
+    ident = {key: GradedElement(A, {key: 1}) for key in A.basis_keys()}
+    assert f.then(inv).images == inv.then(f).images == ident
+
+
+def test_invert_refuses_a_map_that_is_no_bijection():
+    A = _c2_matrix()
+    one = A.field.one()
+    keys = list(A.basis_keys())
+    with pytest.raises(ValueError, match="not injective"):
+        _monomial(A, A, {key: (one, keys[0]) for key in keys}).invert()
+    with pytest.raises(ValueError, match="not onto"):
+        _monomial(A.base, A, {z: (one, MatBasisElt(1, 1, z)) for z in A.base.basis_keys()}).invert()
+
+
 def _c2_matrix():
     C2 = cyclic(2)
     return GradedMatrixAlgebra(TwistedGroupAlgebra(C2.full_subgroup()), (0, 0))
@@ -590,7 +637,7 @@ def _c2_matrix():
 
 def _diagonal(A, scale):
     """E_ij eta_z -> scale(i, j) E_ij eta_z."""
-    return GradedMap.monomial(A, A, {key: (A.field.from_fraction(scale(key.i, key.j)), key)
+    return _monomial(A, A, {key: (A.field.from_fraction(scale(key.i, key.j)), key)
                                      for key in A.basis_keys()})
 
 
@@ -619,7 +666,7 @@ def test_product_on_the_wrong_target_is_caught(c4):
     exponent and magnitude; only the product targets are wrong."""
     B = TwistedGroupAlgebra(c4.full_subgroup())
     swap = {0: 2, 2: 0}
-    gmap = GradedMap.monomial(B, B, {x: (B.field.one(), swap.get(x, x)) for x in B.basis_keys()})
+    gmap = _monomial(B, B, {x: (B.field.one(), swap.get(x, x)) for x in B.basis_keys()})
     assert _both_product_checks(gmap) == (False, False)
     assert not verify_graded_monomorphism(gmap, B, B)
 
@@ -644,7 +691,40 @@ def test_constructors_refuse_non_monomial_maps():
     ident = {k: (F.one(), k) for k in A4.basis_keys()}
     for coef in (0, F.zero(), F.one() + F.root(1)):
         with pytest.raises(InvalidWitness):
-            GradedMap.monomial(A4, A4, {**ident, key: (coef, key)})
+            _monomial(A4, A4, {**ident, key: (coef, key)})
     del ident[key]
     with pytest.raises(AlgebraMismatch):
-        GradedMap.monomial(A4, A4, ident)
+        _monomial(A4, A4, ident)
+
+
+def test_embed_decisions_leave_numpy_ma_unimported():
+    """Twisted and matrix embed and iso decisions, dimension 64 included,
+    never import numpy.ma. A first np.unique does, and the import alone
+    raised the embed benchmark's peak resident memory by 6.5 MB."""
+    script = textwrap.dedent("""
+        import sys
+        import numpy
+        from gradalg.catalog import catalog_group
+        from gradalg.cocycles import all_classes
+        from gradalg.embed import matrix_embed, matrix_iso, twisted_embed, twisted_iso
+        from gradalg.matalg import GradedMatrixAlgebra, LambdaWitness, regrade_iso
+        from gradalg.twisted import TwistedGroupAlgebra
+        before = "numpy.ma" in sys.modules
+        G = catalog_group("D4")
+        B = [TwistedGroupAlgebra(G.full_subgroup(), s) for s in all_classes(G.full_subgroup())]
+        V = catalog_group("C2xC2")
+        A = GradedMatrixAlgebra(
+            TwistedGroupAlgebra(V.full_subgroup(), all_classes(V.full_subgroup())[-1]), (0, 1, 2, 3))
+        T, _ = regrade_iso(A, LambdaWitness(1, (2, 1, 4, 3), (1, 2, 3, 0)))
+        verdicts = [twisted_iso(B[-1], B[-1]).verdict,
+                    twisted_embed(TwistedGroupAlgebra(G.trivial_subgroup()), B[0]).verdict,
+                    matrix_iso(A, T).verdict,
+                    matrix_embed(GradedMatrixAlgebra(A.base, (0, 1)), T).verdict]
+        print(A.dim, before, verdicts, "numpy.ma" in sys.modules)
+    """)
+    env = dict(os.environ)
+    src = str(Path(embed.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["64", "False", "[True,", "True,", "True,", "True]", "False"]

@@ -1,6 +1,12 @@
 """Graded matrix algebras: degree tables, grading checks, and regrading moves."""
-import pytest
+from math import lcm
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gradalg.catalog import catalog_group
+from gradalg.cocycles import ExpCocycle, ExpFunction, all_classes, coboundary_from
 from gradalg.embed import verify_graded_isomorphism
 from gradalg.errors import (
     DomainMismatch,
@@ -8,7 +14,8 @@ from gradalg.errors import (
     InvalidWitness,
     ValidationError,
 )
-from gradalg.groups import Subgroup, closure, cyclic
+from gradalg.graded import GradedElement, GradedMap
+from gradalg.groups import Subgroup, closure, cyclic, enumerate_subgroups, normalizer
 from gradalg.matalg import (
     GradedMatrixAlgebra,
     LambdaWitness,
@@ -19,6 +26,8 @@ from gradalg.matalg import (
     regrade_iso,
 )
 from gradalg.twisted import TwistedGroupAlgebra
+
+from conftest import lift
 
 
 @pytest.fixture
@@ -188,6 +197,82 @@ def test_regrade_iso_rejects_bad_witness(transposition_block):
         regrade_iso(transposition_block, LambdaWitness(0, (2, 2), (0, 0)))
 
 
+def _regrade_reference(A, w, target):
+    """The images of regrade_iso(A, w), key by key, by its formula in field,
+    cocycle and group calls: the oracle for its arrays."""
+    G, field, r = A.ambient, A.field, A.sigma.entry
+    step = field.modulus // A.sigma.modulus
+    inv_alpha = {w.alpha[j]: j + 1 for j in range(A.k)}
+    out = {}
+    for key in A.basis_keys():
+        a, b = inv_alpha[key.i], inv_alpha[key.j]
+        xa, xb = w.xis[a - 1], w.xis[b - 1]
+        xb_inv = G.inv(xb)
+        left = G.mul(xa, key.zeta)
+        coef = field.root((r(xa, key.zeta) + r(left, xb_inv) - r(xb, xb_inv) - r(0, 0)) * step)
+        moved = G.conj(G.mul(left, xb_inv), w.delta)
+        out[key] = GradedElement(target, {MatBasisElt(a, b, moved): coef})
+    return out
+
+
+def _check_regrade(A, w):
+    target, phi = regrade_iso(A, w)
+    expect = _regrade_reference(A, w, target)
+    ref = GradedMap(A, target, expect)
+    assert phi.targets.tolist() == ref.targets.tolist()
+    assert phi.exps.tolist() == ref.exps.tolist()
+    assert phi.mags == ref.mags == (1,)
+    assert not phi.mag_of.any()
+    assert phi.images == expect
+    assert verify_graded_isomorphism(phi, A, target)
+
+
+def _moved(sig, f):
+    """sig times the coboundary of f, at a modulus that is a multiple of
+    2|H|; an f(e) in 1..2|H|-1 moves r(e, e) too."""
+    m = lcm(sig.modulus, 2 * len(f))
+    shift = coboundary_from(ExpFunction(sig.domain, m, f))
+    return ExpCocycle(sig.domain, m, lift(sig, m).mat + shift.mat)
+
+
+REGRADE_GROUPS = ("C2xC2", "C4", "Q8", "S3", "D4", "C2xC2xC4")
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_regrade_arrays_match_the_per_key_formula(data):
+    G = catalog_group(data.draw(st.sampled_from(REGRADE_GROUPS), label="group"))
+    H = data.draw(st.sampled_from(enumerate_subgroups(G)), label="support")
+    N = normalizer(G, H)
+    sig = data.draw(st.sampled_from(all_classes(H)), label="class")
+    f = [data.draw(st.integers(1, 2 * H.order - 1), label="f(e)")] + data.draw(
+        st.lists(st.integers(0, 2 * H.order), min_size=H.order - 1, max_size=H.order - 1),
+        label="f")
+    k = data.draw(st.integers(1, 4), label="k")
+    A = GradedMatrixAlgebra(TwistedGroupAlgebra(H, _moved(sig, f)),
+                            tuple(data.draw(st.sampled_from(N.members)) for _ in range(k)))
+    w = LambdaWitness(
+        delta=data.draw(st.sampled_from(N.members), label="delta"),
+        alpha=tuple(data.draw(st.permutations(range(1, k + 1)), label="alpha")),
+        xis=tuple(data.draw(st.sampled_from(H.members)) for _ in range(k)))
+    _check_regrade(A, w)
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8"])
+def test_regrade_conjugates_a_nonabelian_support_in_order(name):
+    """delta outside the centre and shifts that do not commute: the images
+    depend on the order of every product. Conjugation by delta and by
+    delta^-1 differ where delta^2 is not central, as for a 3-cycle of S3."""
+    G = catalog_group(name)
+    H = G.full_subgroup()
+    outside = [g for g in range(G.order) if g not in G.center]
+    delta = next((g for g in outside if G.mul(g, g) not in G.center), outside[0])
+    sig = _moved(all_classes(H)[-1], list(range(1, H.order + 1)))
+    A = GradedMatrixAlgebra(TwistedGroupAlgebra(H, sig), (0, outside[0], outside[1]))
+    _check_regrade(A, LambdaWitness(delta, (2, 3, 1), (outside[1], outside[2], 0)))
+
+
+# -- matching helpers ----------------------------------------------------------
 # -- matching helpers ----------------------------------------------------------
 
 
