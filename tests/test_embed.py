@@ -41,6 +41,7 @@ from gradalg.errors import (
     ChainNotCentral,
     DomainMismatch,
     ExtensionFailed,
+    FieldMismatch,
     HypothesisError,
     HypothesisViolated,
     InvalidWitness,
@@ -496,7 +497,7 @@ def _conjugated(data, gmap):
     S = gmap.source
     d = [data.draw(st.sampled_from(MAGNITUDES), label="diagonal") for _ in range(S.k)]
     conj = _monomial(S, S, {key: (S.field.from_fraction(d[key.i - 1] / d[key.j - 1]), key)
-                                     for key in S.basis_keys()})
+                            for key in S.basis_keys()})
     composed = conj.then(gmap)
     for key, img in conj.images.items():
         (t, c), = img.terms.items()
@@ -630,6 +631,20 @@ def test_invert_refuses_a_map_that_is_no_bijection():
         _monomial(A.base, A, {z: (one, MatBasisElt(1, 1, z)) for z in A.base.basis_keys()}).invert()
 
 
+def test_maps_with_coefficients_in_different_fields_do_not_compose():
+    """lift has its coefficients in Q(zeta_4) and its source over Q(zeta_2):
+    composing it after a map over Q(zeta_2), or inverting it, would mix the
+    two fields, so both raise."""
+    A = _c2_matrix()
+    A4 = A.with_field(cyclo_field(4))
+    ident = _monomial(A, A, {key: (1, key) for key in A.basis_keys()})
+    lift = _monomial(A, A4, {key: (1, key) for key in A.basis_keys()})
+    with pytest.raises(FieldMismatch):
+        ident.then(lift)
+    with pytest.raises(FieldMismatch):
+        lift.invert()
+
+
 def _c2_matrix():
     C2 = cyclic(2)
     return GradedMatrixAlgebra(TwistedGroupAlgebra(C2.full_subgroup()), (0, 0))
@@ -638,7 +653,7 @@ def _c2_matrix():
 def _diagonal(A, scale):
     """E_ij eta_z -> scale(i, j) E_ij eta_z."""
     return _monomial(A, A, {key: (A.field.from_fraction(scale(key.i, key.j)), key)
-                                     for key in A.basis_keys()})
+                            for key in A.basis_keys()})
 
 
 def test_diagonal_conjugation_with_rational_magnitudes():
@@ -692,6 +707,8 @@ def test_constructors_refuse_non_monomial_maps():
     for coef in (0, F.zero(), F.one() + F.root(1)):
         with pytest.raises(InvalidWitness):
             _monomial(A4, A4, {**ident, key: (coef, key)})
+    with pytest.raises(InvalidWitness):
+        _monomial(A4, A4, {**ident, key: (F.one(), MatBasisElt(1, 3, 0))})
     del ident[key]
     with pytest.raises(AlgebraMismatch):
         _monomial(A4, A4, ident)
