@@ -188,7 +188,7 @@ class GradedMap:
             # q zeta_M^k = |q| zeta_2M^(2k + M [q < 0])
             targets.append(where[tkey])
             exps.append(2 * k + (M if q < 0 else 0))
-            mag_of.append(mags.setdefault(abs(q), len(mags)))
+            mag_of.append(mags.setdefault(abs(Fraction(q)), len(mags)))
         self._set(source, target, np.array(targets, dtype=np.int64),
                   np.array(exps, dtype=np.int64), tuple(mags),
                   np.array(mag_of, dtype=np.int64))
