@@ -99,9 +99,6 @@ class ExpFunction:
                 f"function vector length {vec.shape} does not match |H| = {domain.order}")
         self.vec = vec
 
-    def entry(self, x):
-        return int(self.vec[self.domain.position(x)])
-
     def exponents(self, field):
         """The values as exponents of the field's root zeta_M, in member order."""
         step, rem = divmod(field.modulus, self.modulus)

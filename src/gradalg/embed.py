@@ -167,8 +167,6 @@ def _exp_products_agree(gmap):
         a = rows[r]
         if ((s[a] + s[c] + 2 * exp_b[r, c] - s[o] - 2 * exp_a[r, c]) % two_m).any():
             return False
-        if mags == (1,):  # every magnitude is 1, so they multiply
-            continue
         row_mags = sorted(set(mag_of[rows].tolist()))
         table = np.array([[index.get(mags[x] * m, -1) for m in mags] for x in row_mags])
         if not np.array_equal(table[np.searchsorted(row_mags, mag_of[a]), mag_of[c]], mag_of[o]):

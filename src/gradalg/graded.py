@@ -8,7 +8,8 @@ by group element id, matrix algebras by (row, col, group element) triples;
 everything in this module is generic over the key type.
 
 Each algebra also gives basis_degrees(), the degree of every basis position
-as an int64 array built once.
+as an int64 array built once, and basis_positions(), the dict key -> basis
+position, also built once.
 
 GradedMap holds monomial maps only, the form of every witness the engine
 builds: each basis element goes to q*zeta^k times one basis element, q a
@@ -168,7 +169,7 @@ class GradedMap:
         """
         field = target.field
         M = field.modulus
-        where = {bk: i for i, bk in enumerate(target.basis_keys())}
+        where = target.basis_positions()
         targets, exps, mag_of, mags = [], [], [], {}
         for key in source.basis_keys():
             if key not in images:
@@ -213,7 +214,7 @@ class GradedMap:
 
     def image(self, key):
         """The image c*e_t of the basis element key as a GradedElement."""
-        a = self.source.basis_keys().index(key)
+        a = self.source.basis_positions()[key]
         field = self.target.field
         s, q = int(self.exps[a]), self.mags[self.mag_of[a]]
         # an odd s needs an odd M: zeta_2M^s = -zeta_M^((s + M) / 2)
@@ -261,8 +262,6 @@ def _same_field(A, B):
 def _magnitude_products(mags_a, of_a, mags_b, of_b):
     """The distinct products mags_a[of_a] * mags_b[of_b] and the index of
     each product among them."""
-    if len(mags_a) == len(mags_b) == 1:
-        return (mags_a[0] * mags_b[0],), of_a
     nb = len(mags_b)
     pair = of_a * nb + of_b
     index = np.zeros(len(mags_a) * nb, dtype=np.int64)

@@ -154,7 +154,8 @@ class Subgroup:
         self.members = tuple(sorted(set(members)))
         if not _validated:
             self._validate()
-        self._pos = {m: i for i, m in enumerate(self.members)}
+        # member -> index in the sorted member tuple
+        self.positions = {m: i for i, m in enumerate(self.members)}
 
     def _validate(self):
         if not self.members or self.members[0] != 0:
@@ -176,7 +177,7 @@ class Subgroup:
         return len(self.members)
 
     def __contains__(self, x):
-        return x in self._pos
+        return x in self.positions
 
     def __le__(self, other: "Subgroup"):
         if self.parent is not other.parent:
@@ -195,7 +196,7 @@ class Subgroup:
 
     def position(self, x):
         """Index of ambient element x inside the sorted member list."""
-        return self._pos[x]
+        return self.positions[x]
 
     def _cached(self, name, build):
         return self.parent.cached((name, self.members), build)
@@ -224,7 +225,7 @@ class Subgroup:
         """The subgroup as a standalone group on identifiers 0..|H|-1 (member positions)."""
         def build():
             mem, G = self.members, self.parent
-            table = [[self._pos[G.mul(a, b)] for b in mem] for a in mem]
+            table = [[self.positions[G.mul(a, b)] for b in mem] for a in mem]
             return FiniteGroup(table, name=f"{G.name}|{list(mem)}",
                                labels=[G.label_of(m) for m in mem], order_cap=None,
                                _validated=True)

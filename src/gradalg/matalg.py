@@ -50,6 +50,7 @@ class GradedMatrixAlgebra:
         self.theta = theta
         self.k = len(theta)
         self._keys = None
+        self._positions = None
         self._degree_array = None
         self._degrees = None
 
@@ -82,6 +83,12 @@ class GradedMatrixAlgebra:
                 MatBasisElt(i, j, z)
                 for i in range(1, k + 1) for j in range(1, k + 1) for z in members)
         return self._keys
+
+    def basis_positions(self):
+        """key -> basis position, built once."""
+        if self._positions is None:
+            self._positions = {key: i for i, key in enumerate(self.basis_keys())}
+        return self._positions
 
     def basis_degrees(self):
         """The degrees theta_i^-1 zeta theta_j in basis_keys() order, as an

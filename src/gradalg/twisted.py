@@ -60,6 +60,10 @@ class TwistedGroupAlgebra:
         """The degree of each basis position: the members, as an int64 array."""
         return self.subgroup.member_array
 
+    def basis_positions(self):
+        """key -> basis position: the subgroup's member positions."""
+        return self.subgroup.positions
+
     def support(self):
         return self._member_set
 

@@ -273,7 +273,6 @@ def test_regrade_conjugates_a_nonabelian_support_in_order(name):
 
 
 # -- matching helpers ----------------------------------------------------------
-# -- matching helpers ----------------------------------------------------------
 
 
 def test_coset_reps():
