@@ -36,16 +36,7 @@ from .embed import (
     verify_graded_monomorphism,
 )
 from .errors import NotASubgroup, ValidationError
-from .groups import (
-    Subgroup,
-    cyclic,
-    dihedral,
-    enumerate_subgroups,
-    normalizer,
-    product,
-    quaternion8,
-    symmetric,
-)
+from .groups import Subgroup, enumerate_subgroups, normalizer, parse_spec
 from .identities import multilinear_containment
 from .matalg import GradedMatrixAlgebra, LambdaWitness, lambda_membership, regrade_iso
 from .twisted import TwistedGroupAlgebra
@@ -53,22 +44,21 @@ from .twisted import TwistedGroupAlgebra
 _SEED = 20260814
 
 
+_CATALOG_SPECS = tuple(f"C{n}" for n in range(1, 17)) + (
+    "C2xC2", "C2xC4", "C2xC8", "C4xC4", "C3xC3", "C2xC2xC2", "C2xC2xC4", "S3", "D4", "Q8")
+
+
 @lru_cache(maxsize=None)
 def catalog_groups():
-    """The benchmark groups: (name, group, cyclic factor tuple or None)."""
-    entries = [(f"C{n}", cyclic(n), (n,)) for n in range(1, 17)]
-    entries += [
-        ("C2xC2", product(cyclic(2), cyclic(2)), (2, 2)),
-        ("C2xC4", product(cyclic(2), cyclic(4)), (2, 4)),
-        ("C2xC8", product(cyclic(2), cyclic(8)), (2, 8)),
-        ("C4xC4", product(cyclic(4), cyclic(4)), (4, 4)),
-        ("C3xC3", product(cyclic(3), cyclic(3)), (3, 3)),
-        ("C2xC2xC2", product(cyclic(2), cyclic(2), cyclic(2)), (2, 2, 2)),
-        ("C2xC2xC4", product(cyclic(2), cyclic(2), cyclic(4)), (2, 2, 4)),
-        ("S3", symmetric(3), None),
-        ("D4", dihedral(4), None),
-        ("Q8", quaternion8(), None),
-    ]
+    """The benchmark groups: (name, group, cyclic factor tuple or None).
+
+    Each group is built from its spec; a spec made of cyclic factors only
+    names its factor orders."""
+    entries = []
+    for spec in _CATALOG_SPECS:
+        atoms = spec.split("x")
+        factors = tuple(int(a[1:]) for a in atoms) if all(a[0] == "C" for a in atoms) else None
+        entries.append((spec, parse_spec(spec), factors))
     return tuple(entries)
 
 

@@ -15,7 +15,6 @@ import sys
 from . import jsonio
 from .catalog import run_all
 from .cocycles import (
-    ExpCocycle,
     class_order,
     classes_equivalent,
     extend_class,
@@ -34,7 +33,7 @@ from .embed import (
     twisted_iso,
 )
 from .errors import ExtensionFailed, GradalgError, HypothesisError, UsageError, ValidationError
-from .groups import Subgroup, parse_spec, rehome
+from .groups import Subgroup, parse_spec
 from .identities import DegreeAssignment, identity_space, multilinear_containment
 from .matalg import lambda_membership
 from .twisted import TwistedGroupAlgebra
@@ -47,21 +46,6 @@ def _read_file(path):
         raise UsageError(f"cannot read {path}: {e.strerror}") from None
 
 
-def parse_group_spec(spec, ws=None, order_cap=None):
-    """A group from 'C4', 'C2xC2', 'D4', 'Q8', 'S3', 'table:@file.json',
-    or 'ws:name' against a loaded workspace."""
-    if spec.startswith("ws:"):
-        name = spec[3:]
-        if ws is None:
-            raise UsageError(f"group {spec!r} needs --workspace")
-        if name not in ws.groups:
-            raise UsageError(f"workspace has no group named {name!r}")
-        return ws.groups[name]
-    if spec.startswith("table:@"):
-        return jsonio.parse_group(jsonio.loads(_read_file(spec[len("table:@"):])))
-    return parse_spec(spec, order_cap=order_cap)
-
-
 def _ws_lookup(ws, section, name, what):
     if ws is None:
         raise UsageError(f"{what} 'ws:{name}' needs --workspace")
@@ -71,18 +55,28 @@ def _ws_lookup(ws, section, name, what):
     return table[name]
 
 
-def _load_cocycle(value, ws):
+def parse_group_spec(spec, ws=None, order_cap=None):
+    """A group from 'C4', 'C2xC2', 'D4', 'Q8', 'S3', 'table:@file.json',
+    or 'ws:name' against a loaded workspace."""
+    if spec.startswith("ws:"):
+        return _ws_lookup(ws, "groups", spec[3:], "group")
+    if spec.startswith("table:@"):
+        return jsonio.parse_group(jsonio.loads(_read_file(spec[len("table:@"):])), order_cap)
+    return parse_spec(spec, order_cap=order_cap)
+
+
+def _load_cocycle(value, ws, cfg):
     if value.startswith("ws:"):
         return _ws_lookup(ws, "cocycles", value[3:], "cocycle")
     groups = ws.groups if ws is not None else None
-    return jsonio.parse_cocycle(jsonio.loads(_read_file(value)), groups)
+    return jsonio.parse_cocycle(jsonio.loads(_read_file(value)), groups, cfg.order_cap)
 
 
-def _load_algebra(value, ws):
+def _load_algebra(value, ws, cfg):
     if value.startswith("ws:"):
         return _ws_lookup(ws, "algebras", value[3:], "algebra")
     groups = ws.groups if ws is not None else None
-    return jsonio.parse_algebra(jsonio.loads(_read_file(value)), groups)
+    return jsonio.parse_algebra(jsonio.loads(_read_file(value)), groups, cfg.order_cap)
 
 
 def _ints(text, what):
@@ -121,20 +115,19 @@ def _cmd_group(args, cfg, ws):
 
 def _cmd_h2(args, cfg, ws):
     G = parse_group_spec(args.group, ws, cfg.order_cap)
-    _emit(jsonio.h2_to_json(h2_over_Fstar(G, order_cap=cfg.order_cap)))
+    _emit(jsonio.h2_to_json(h2_over_Fstar(G)))
     return 0
 
 
 def _cmd_cocycle(args, cfg, ws):
     if args.action == "check":
-        sig = _load_cocycle(args.cocycle, ws)
+        sig = _load_cocycle(args.cocycle, ws, cfg)
         ok = is_cocycle(sig)
         _emit({"is_cocycle": ok})
         return 0 if ok else 3
     if args.action == "equiv":
-        a = _load_cocycle(args.a, ws)
-        b = _load_cocycle(args.b, ws)
-        b = ExpCocycle(rehome(b.domain, a.domain.parent), b.modulus, b.mat)
+        a = _load_cocycle(args.a, ws, cfg)
+        b = _load_cocycle(args.b, ws, cfg)
         f = classes_equivalent(a, b, working_modulus=cfg.modulus_override)
         if f is None:
             _emit({"equivalent": False})
@@ -142,30 +135,30 @@ def _cmd_cocycle(args, cfg, ws):
         _emit({"equivalent": True, "witness": jsonio.expfunction_to_json(f)})
         return 0
     if args.action == "restrict":
-        sig = _load_cocycle(args.cocycle, ws)
+        sig = _load_cocycle(args.cocycle, ws, cfg)
         H = Subgroup(sig.domain.parent, _ints(args.subgroup, "--subgroup"))
         _emit(jsonio.cocycle_to_json(restrict(sig, H)))
         return 0
     if args.action == "extend":
-        sig = _load_cocycle(args.cocycle, ws)
+        sig = _load_cocycle(args.cocycle, ws, cfg)
         ext = extend_class(sig, sig.domain.parent)
         if ext is None:
             _emit({"extends": False})
             return 3
         _emit(jsonio.cocycle_to_json(ext))
         return 0
-    sig = _load_cocycle(args.cocycle, ws)
+    sig = _load_cocycle(args.cocycle, ws, cfg)
     _emit({"class_order": class_order(sig)})
     return 0
 
 
 def _cmd_embed(args, cfg, ws):
     if args.action == "product":
-        sources = [_load_algebra(v, ws) for v in args.sources.split(",")]
-        targets = [_load_algebra(v, ws) for v in args.targets.split(",")]
+        sources = [_load_algebra(v, ws, cfg) for v in args.sources.split(",")]
+        targets = [_load_algebra(v, ws, cfg) for v in args.targets.split(",")]
         return _report_exit(product_embed(sources, targets))
-    A = _load_algebra(args.a, ws)
-    B = _load_algebra(args.b, ws)
+    A = _load_algebra(args.a, ws, cfg)
+    B = _load_algebra(args.b, ws, cfg)
     if args.action == "tga":
         rep = twisted_embed(_require_twisted(A, "embed tga"),
                             _require_twisted(B, "embed tga"))
@@ -175,8 +168,8 @@ def _cmd_embed(args, cfg, ws):
 
 
 def _cmd_iso(args, cfg, ws):
-    A = _load_algebra(args.a, ws)
-    B = _load_algebra(args.b, ws)
+    A = _load_algebra(args.a, ws, cfg)
+    B = _load_algebra(args.b, ws, cfg)
     if args.action == "tga":
         rep = twisted_iso(_require_twisted(A, "iso tga"),
                           _require_twisted(B, "iso tga"))
@@ -186,7 +179,7 @@ def _cmd_iso(args, cfg, ws):
 
 
 def _cmd_lambda(args, cfg, ws):
-    A = as_matrix_algebra(_load_algebra(args.algebra, ws))
+    A = as_matrix_algebra(_load_algebra(args.algebra, ws, cfg))
     target = tuple(_ints(args.target, "--target"))
     w = lambda_membership(target, A)
     if w is None:
@@ -198,19 +191,19 @@ def _cmd_lambda(args, cfg, ws):
 
 def _cmd_pi(args, cfg, ws):
     if args.action == "space":
-        A = _load_algebra(args.algebra, ws)
+        A = _load_algebra(args.algebra, ws, cfg)
         degs = DegreeAssignment(_ints(args.degs, "--degs"))
         _emit(jsonio.space_to_json(identity_space(A, degs, cfg)))
         return 0
-    A = _load_algebra(args.a, ws)
-    B = _load_algebra(args.b, ws)
+    A = _load_algebra(args.a, ws, cfg)
+    B = _load_algebra(args.b, ws, cfg)
     rep = multilinear_containment(A, B, args.nmax, cfg)
     _emit(jsonio.containment_to_json(rep))
     return 0 if rep.contained else 3
 
 
 def _cmd_tower(args, cfg, ws):
-    B = _require_twisted(_load_algebra(args.algebra, ws), "tower")
+    B = _require_twisted(_load_algebra(args.algebra, ws, cfg), "tower")
     chain = [Subgroup(B.ambient, _ints(part, "--chain"))
              for part in args.chain.split(";")]
     try:
@@ -367,7 +360,7 @@ def main(argv=None):
         cfg = _make_config(args)
         ws = None
         if args.workspace:
-            ws = jsonio.parse_workspace(_read_file(args.workspace))
+            ws = jsonio.parse_workspace(_read_file(args.workspace), cfg.order_cap)
         return args.handler(args, cfg, ws)
     except (ValidationError, HypothesisError) as e:
         print(f"error: {e}", file=sys.stderr)

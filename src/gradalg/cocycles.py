@@ -33,7 +33,6 @@ from .errors import (
     LengthMismatch,
     NotACocycle,
     NotASubgroup,
-    OrderCapExceeded,
     VerificationFailed,
 )
 from .groups import FiniteGroup, Subgroup, conjugate_subgroup
@@ -175,7 +174,7 @@ def normalize(sig: ExpCocycle):
 
 def restrict(sig: ExpCocycle, H: Subgroup) -> ExpCocycle:
     dom = sig.domain
-    if H.parent is not dom.parent:
+    if H.parent != dom.parent:
         raise NotASubgroup("restriction target lives in a different group")
     if not H <= dom:
         raise NotASubgroup("restriction target is not inside the cocycle domain")
@@ -435,7 +434,7 @@ def extend_class(sig: ExpCocycle, G: FiniteGroup):
     a restricted class gives beta(u, w^2) = beta(u, w)^2 = 1.
     """
     H = sig.domain
-    if H.parent is not G:
+    if H.parent != G:
         raise NotASubgroup("cocycle domain is not a subgroup of the target group")
     sn, _ = normalize(sig)
     m_w = sig.modulus * G.exponent
@@ -452,16 +451,13 @@ def extend_class(sig: ExpCocycle, G: FiniteGroup):
     return ExpCocycle(full, m_w, _frame(full).expand(vec, m_w)[0])
 
 
-def h2_over_Fstar(G: FiniteGroup, order_cap=None) -> H2Description:
+def h2_over_Fstar(G: FiniteGroup) -> H2Description:
     """H^2(G, F*) for F algebraically closed of characteristic zero.
 
     Returns invariant factors (ascending divisibility, 1s dropped), one
     deterministic representative cocycle per factor at base modulus |G|,
     and the group order.
     """
-    if order_cap is not None and G.order > order_cap:
-        raise OrderCapExceeded(f"group order {G.order} exceeds cap {order_cap}")
-
     def build():
         M = G.order
         if M == 1:

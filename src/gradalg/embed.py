@@ -23,8 +23,8 @@ from .errors import (
     ValidationError,
     VerificationFailed,
 )
-from .graded import GradedMap
-from .groups import Subgroup, is_central_in, rehome, same_subgroup
+from .graded import GradedMap, one_ambient
+from .groups import Subgroup, is_central_in
 from .matalg import (
     GradedMatrixAlgebra,
     LambdaWitness,
@@ -99,20 +99,6 @@ class TowerReport:
     cocycles: tuple
     steps: tuple
     squares: tuple
-
-
-# -- ambient alignment -------------------------------------------------------
-
-
-def _align_ambient(A, B):
-    """B rebased onto A's ambient group object; AmbientMismatch if the
-    grading groups differ structurally."""
-    if B.ambient is A.ambient:
-        return B
-    base = B.base if isinstance(B, GradedMatrixAlgebra) else B
-    H = rehome(base.subgroup, A.ambient)
-    out = TwistedGroupAlgebra(H, ExpCocycle(H, base.sigma.modulus, base.sigma.mat), base.field)
-    return out if base is B else GradedMatrixAlgebra(out, B.theta)
 
 
 # -- verification ------------------------------------------------------------
@@ -209,7 +195,7 @@ def twisted_embed(B1, B2, field=None):
     Yes exactly when H1 <= H2 and the class of s1 equals the class of s2
     restricted to H1; the witness rescales each basis element.
     """
-    B2 = _align_ambient(B1, B2)
+    one_ambient(B1, B2)
     if not B1.subgroup <= B2.subgroup:
         return DecisionReport(False, reasons=("subgroup containment",))
     f = classes_equivalent(B1.sigma, restrict(B2.sigma, B1.subgroup))
@@ -221,7 +207,7 @@ def twisted_embed(B1, B2, field=None):
 def twisted_iso(B1, B2, field=None):
     """Graded isomorphism of twisted group algebras: same support subgroup
     and equivalent cocycle classes."""
-    B2 = _align_ambient(B1, B2)
+    one_ambient(B1, B2)
     if B1.subgroup.members != B2.subgroup.members:
         return DecisionReport(False, reasons=("subgroup containment",))
     f = classes_equivalent(B1.sigma, B2.sigma)
@@ -275,7 +261,7 @@ def _matrix_witness(A1, A2, delta, matching, shifts, f, field, want_iso):
 
 
 def _matrix_decide(A1, A2, field, want_iso):
-    A2 = _align_ambient(A1, A2)
+    one_ambient(A1, A2)
     _require_normalizing(A1, A2)
     if want_iso and A1.k != A2.k:
         return DecisionReport(False, reasons=("size",))
@@ -341,8 +327,7 @@ def product_embed(sources, targets):
     As = [as_matrix_algebra(a) for a in targets]
     if not Bs or not As:
         raise ValidationError("product decision needs at least one component per side")
-    Bs = [_align_ambient(Bs[0], b) for b in Bs]
-    As = [_align_ambient(Bs[0], a) for a in As]
+    one_ambient(*Bs, *As)
     notes = []
     for i in range(len(Bs)):
         for j in range(len(Bs)):
@@ -430,9 +415,8 @@ def build_tower(B, chain, k=1, t=1):
         raise ValidationError("chain must contain at least one subgroup")
     if not (1 <= k <= t):
         raise ValidationError("matrix sizes must satisfy 1 <= k <= t")
-    if not same_subgroup(chain[0], B.subgroup):
+    if chain[0] != B.subgroup:
         raise DomainMismatch("chain must start at the algebra's support subgroup")
-    chain = [rehome(H, B.ambient) for H in chain]
     for idx in range(len(chain) - 1):
         low, high = chain[idx], chain[idx + 1]
         if not low <= high:

@@ -27,11 +27,19 @@ import numpy as np
 from .cyclo import CycloNumber
 from .errors import (
     AlgebraMismatch,
+    AmbientMismatch,
     FieldMismatch,
     InvalidWitness,
     NotHomogeneous,
     ZeroElement,
 )
+
+
+def one_ambient(*algebras):
+    """AmbientMismatch unless every algebra is graded by one group table."""
+    G = algebras[0].ambient
+    if any(A.ambient != G for A in algebras[1:]):
+        raise AmbientMismatch("algebras are graded by different groups")
 
 
 def _coerce(field, value):

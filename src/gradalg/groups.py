@@ -5,14 +5,21 @@ downstream module relies on that normalization. Groups are built from small
 spec strings ("C4", "C2xC2", "D4", "Q8", "S3", products of those) or from an
 explicit table, and are validated on construction.
 
+Groups compare by their multiplication table: names and labels are
+presentation only. Two copies of one table, such as groups loaded from
+separate files, are equal, and so are their subgroups with the same
+members, so objects built on either copy meet everywhere without a rebase.
+
 Cache policy: every value derived from a table (exponent, center, subgroup
 list, normalizers, the table and member lists as numpy arrays, and the
 cohomology layer's frames, kernels, solvers and H^2) is computed once and
 kept on that group object through FiniteGroup.cached, the one store. A
 value of a subgroup is kept in its parent's store under (name, members),
-so equal Subgroup objects share it; Subgroup itself keeps no cache. Nothing
-is evicted: the store lives and dies with the group object, so a fresh
-relabeling of the same table pays the full cost again.
+so Subgroup objects with the same members on one group object share it;
+Subgroup itself keeps no cache. The store is per object, not per table:
+equal copies of a table keep separate stores. Nothing is evicted: the store
+lives and dies with the group object, so a fresh relabeling of the same
+table pays the full cost again.
 """
 from __future__ import annotations
 
@@ -23,7 +30,7 @@ from math import lcm
 import numpy as np
 
 from .config import DEFAULT_ORDER_CAP
-from .errors import AmbientMismatch, NotASubgroup, OrderCapExceeded, SpecMalformed, TableInvalid
+from .errors import NotASubgroup, OrderCapExceeded, SpecMalformed, TableInvalid
 
 
 class FiniteGroup:
@@ -142,6 +149,21 @@ class FiniteGroup:
         except ValueError:
             raise KeyError(f"no element labelled {label!r} in {self.name}") from None
 
+    def __eq__(self, other):
+        """Structural equality: identical multiplication tables on the same
+        id set.
+
+        Groups loaded from separate files compare equal here even though
+        they are distinct objects; labels and names are presentation only
+        and ignored.
+        """
+        if not isinstance(other, FiniteGroup):
+            return NotImplemented
+        return self is other or self.mul_table == other.mul_table
+
+    def __hash__(self):
+        return hash(self.order)
+
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
 
@@ -180,19 +202,17 @@ class Subgroup:
         return x in self.positions
 
     def __le__(self, other: "Subgroup"):
-        if self.parent is not other.parent:
-            return False
-        return set(self.members) <= set(other.members)
+        return self.parent == other.parent and set(self.members) <= set(other.members)
 
     def __eq__(self, other):
         return (
             isinstance(other, Subgroup)
-            and self.parent is other.parent
             and self.members == other.members
+            and self.parent == other.parent
         )
 
     def __hash__(self):
-        return hash((id(self.parent), self.members))
+        return hash(self.members)
 
     def position(self, x):
         """Index of ambient element x inside the sorted member list."""
@@ -376,10 +396,6 @@ def product(*groups, order_cap=DEFAULT_ORDER_CAP):
     return FiniteGroup(table, name=name, labels=labels, order_cap=order_cap)
 
 
-def from_table(mul, name="G", labels=None, order_cap=DEFAULT_ORDER_CAP):
-    return FiniteGroup(mul, name=name, labels=labels, order_cap=order_cap)
-
-
 _SPEC_ATOM = re.compile(r"^([CDS])(\d+)$|^(Q8)$")
 
 
@@ -449,7 +465,7 @@ def enumerate_subgroups(G: FiniteGroup):
 
 
 def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    if H.parent is not G:
+    if H.parent != G:
         raise NotASubgroup("subgroup belongs to a different group")
 
     def build():
@@ -469,30 +485,3 @@ def is_central_in(H: Subgroup, N: Subgroup) -> bool:
     """Whether every element of H commutes with every element of N (H, N same parent)."""
     G = H.parent
     return all(G.mul(h, x) == G.mul(x, h) for h in H.members for x in N.members)
-
-
-def same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
-    """Structural equality: identical multiplication tables on the same id set.
-
-    Groups loaded from separate files compare equal here even though they are
-    distinct objects; labels and names are presentation only and ignored.
-    """
-    return a is b or (a.order == b.order and a.mul_table == b.mul_table)
-
-
-def same_subgroup(h1: Subgroup, h2: Subgroup) -> bool:
-    return same_group(h1.parent, h2.parent) and h1.members == h2.members
-
-
-def rehome(H: Subgroup, G: FiniteGroup) -> Subgroup:
-    """H as a subgroup of G, a group object with the same table as H's parent.
-
-    Objects loaded from separate files carry separate copies of one table;
-    rehoming puts them on one group object so they can be compared.
-    AmbientMismatch if the tables differ.
-    """
-    if H.parent is G:
-        return H
-    if not same_group(H.parent, G):
-        raise AmbientMismatch("subgroup lives in a group with a different table")
-    return Subgroup(G, H.members, _validated=True)

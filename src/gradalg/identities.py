@@ -69,7 +69,6 @@ from .config import EngineConfig
 from .cyclo import CycloNumber, cyclo_field
 from .errors import (
     AlgebraMismatch,
-    AmbientMismatch,
     DegreeCapExceeded,
     DegreeMismatch,
     FieldMismatch,
@@ -77,8 +76,7 @@ from .errors import (
     ValidationError,
     VerificationFailed,
 )
-from .graded import GradedElement
-from .groups import same_group
+from .graded import GradedElement, one_ambient
 
 
 @dataclass(frozen=True)
@@ -776,8 +774,7 @@ def multilinear_containment(A, B, n_max, config=None):
     if n_max < 1:
         raise ValidationError("n_max must be at least 1")
     _check_cap(n_max, config)
-    if not same_group(A.ambient, B.ambient):
-        raise AmbientMismatch("algebras are graded by different groups")
+    one_ambient(A, B)
     field = cyclo_field(lcm(A.field.modulus, B.field.modulus))
     B2 = B.with_field(field)
     grid_a, grid_b = _Grid(A.with_field(field)), _Grid(B2)

@@ -12,7 +12,8 @@ import json
 
 from .cyclo import cyclo_field
 from .errors import ParseError, ValidationError
-from .groups import Subgroup, from_table
+from .config import DEFAULT_ORDER_CAP
+from .groups import FiniteGroup, Subgroup
 from .cocycles import ExpCocycle, is_cocycle
 from .twisted import TwistedGroupAlgebra
 from .matalg import GradedMatrixAlgebra, LambdaWitness
@@ -86,7 +87,9 @@ def group_to_json(G):
     }
 
 
-def parse_group(obj):
+def parse_group(obj, order_cap=DEFAULT_ORDER_CAP):
+    """The group of a JSON table; a table of more than order_cap rows is
+    refused before it is validated."""
     obj = _expect(obj, "group")
     rows = _int_matrix(_field(obj, "table", "group"), "group: table")
     labels = obj.get("labels")
@@ -94,15 +97,15 @@ def parse_group(obj):
                                or not all(isinstance(x, str) for x in labels)):
         raise ValidationError("group: labels must be a list of strings")
     name = obj.get("name", "G")
-    return from_table(rows, name=name, labels=labels)
+    return FiniteGroup(rows, name=name, labels=labels, order_cap=order_cap)
 
 
-def _resolve_group(ref, groups, what):
+def _resolve_group(ref, groups, what, order_cap):
     if isinstance(ref, str):
         if groups is None or ref not in groups:
             raise ValidationError(f"{what}: unknown group reference {ref!r}")
         return groups[ref]
-    return parse_group(ref)
+    return parse_group(ref, order_cap)
 
 
 def _parse_subgroup(G, members, what):
@@ -135,11 +138,11 @@ def cocycle_to_json(sig, group_ref=None):
     return out
 
 
-def parse_cocycle(obj, groups=None):
+def parse_cocycle(obj, groups=None, order_cap=DEFAULT_ORDER_CAP):
     """Exponent cocycle from JSON; the cocycle identity is not enforced here
     so invalid tables can still be loaded and checked."""
     obj = _expect(obj, "cocycle")
-    G = _resolve_group(_field(obj, "group", "cocycle"), groups, "cocycle")
+    G = _resolve_group(_field(obj, "group", "cocycle"), groups, "cocycle", order_cap)
     H = _parse_subgroup(G, _field(obj, "subgroup", "cocycle"), "cocycle")
     return _parse_exponents(obj, H, "cocycle")
 
@@ -193,12 +196,12 @@ def algebra_to_json(A, group_ref=None):
     raise TypeError(f"not a graded algebra: {type(A).__name__}")
 
 
-def parse_algebra(obj, groups=None):
+def parse_algebra(obj, groups=None, order_cap=DEFAULT_ORDER_CAP):
     obj = _expect(obj, "algebra")
     kind = _field(obj, "kind", "algebra")
     if kind not in ("twisted", "matrix"):
         raise ValidationError(f"algebra: unknown kind {kind!r}")
-    G = _resolve_group(_field(obj, "group", "algebra"), groups, "algebra")
+    G = _resolve_group(_field(obj, "group", "algebra"), groups, "algebra", order_cap)
     H = _parse_subgroup(G, _field(obj, "subgroup", "algebra"), "algebra")
     cfg = _expect(_field(obj, "cocycle", "algebra"), "algebra cocycle")
     sigma = _parse_exponents(cfg, H, "algebra cocycle")
@@ -331,7 +334,7 @@ class Workspace:
         self.algebras = dict(algebras or {})
 
 
-def parse_workspace(text):
+def parse_workspace(text, order_cap=DEFAULT_ORDER_CAP):
     """Workspace from JSON text.  Unknown keys and dangling group references
     fail, and cocycles are re-validated."""
     raw = loads(text) if isinstance(text, str) else text
@@ -342,14 +345,14 @@ def parse_workspace(text):
         raise ValidationError(f"workspace: unknown keys {bad}")
     groups = {}
     for name, obj in _expect(raw.get("groups", {}), "workspace groups").items():
-        groups[name] = parse_group(obj)
+        groups[name] = parse_group(obj, order_cap)
     cocycles = {}
     for name, obj in _expect(raw.get("cocycles", {}), "workspace cocycles").items():
-        sig = parse_cocycle(obj, groups)
+        sig = parse_cocycle(obj, groups, order_cap)
         if not is_cocycle(sig):
             raise ValidationError(f"workspace cocycle {name!r} fails the cocycle identity")
         cocycles[name] = sig
     algebras = {}
     for name, obj in _expect(raw.get("algebras", {}), "workspace algebras").items():
-        algebras[name] = parse_algebra(obj, groups)
+        algebras[name] = parse_algebra(obj, groups, order_cap)
     return Workspace(groups=groups, cocycles=cocycles, algebras=algebras)

@@ -17,7 +17,6 @@ from .errors import (
     NotACocycle,
 )
 from .graded import GradedElement
-from .groups import same_subgroup
 
 
 class TwistedGroupAlgebra:
@@ -116,7 +115,7 @@ class TwistedGroupAlgebra:
             return NotImplemented
         if self is other:
             return True
-        return (same_subgroup(self.subgroup, other.subgroup)
+        return (self.subgroup == other.subgroup
                 and self.sigma.modulus == other.sigma.modulus
                 and bool((self.sigma.mat == other.sigma.mat).all())
                 and self.field.modulus == other.field.modulus)

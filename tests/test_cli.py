@@ -182,6 +182,58 @@ def test_order_cap_flag_exits_2(capsys):
     assert "error:" in err
 
 
+@pytest.fixture(scope="module")
+def capped(tmp_path_factory):
+    """JSON inputs over C4xC4 (order 16) and C8xC9 (order 72, above the
+    default cap of 64): the table, a cocycle and an algebra on the trivial
+    subgroup, and a workspace holding the group."""
+    root = tmp_path_factory.mktemp("cap")
+    paths = {}
+    for order, G in ((16, product(cyclic(4), cyclic(4))),
+                     (72, product(cyclic(8), cyclic(9), order_cap=None))):
+        one = G.trivial_subgroup()
+        objects = {
+            "table": jsonio.group_to_json(G),
+            "cocycle": jsonio.cocycle_to_json(trivial_cocycle(one, 2)),
+            "algebra": jsonio.algebra_to_json(TwistedGroupAlgebra(one)),
+            "ws": {"groups": {"G": jsonio.group_to_json(G)}},
+        }
+        for name, obj in objects.items():
+            p = root / f"{name}{order}.json"
+            p.write_text(jsonio.dumps(obj), encoding="utf-8")
+            paths[name, order] = str(p)
+    return paths
+
+
+# every way a command loads a group from JSON: the input file, then the
+# arguments with {} for its path
+CAP_ARGV = {
+    "table": ("table", ("group", "--group", "table:@{}")),
+    "h2 table": ("table", ("h2", "--group", "table:@{}")),
+    "cocycle equiv": ("cocycle", ("cocycle", "equiv", "--a", "{}", "--b", "{}")),
+    "cocycle extend": ("cocycle", ("cocycle", "extend", "--cocycle", "{}")),
+    "algebra": ("algebra", ("embed", "tga", "--a", "{}", "--b", "{}")),
+    "workspace": ("ws", ("--workspace", "{}", "group", "--group", "ws:G")),
+}
+
+
+def _cap_argv(capped, case, order):
+    name, argv = CAP_ARGV[case]
+    return [a.replace("{}", capped[name, order]) for a in argv]
+
+
+@pytest.mark.parametrize("case", list(CAP_ARGV))
+def test_order_cap_applies_to_groups_loaded_from_json(capsys, capped, case):
+    code, out, err = run(capsys, "--order-cap", "8", *_cap_argv(capped, case, 16))
+    assert (code, out) == (2, "")
+    assert "exceeds cap 8" in err
+    code, out, err = run(capsys, *_cap_argv(capped, case, 72))
+    assert (code, out) == (2, "")
+    assert "exceeds cap 64" in err
+    code, out, _ = run(capsys, "--order-cap", "128", *_cap_argv(capped, case, 72))
+    assert code == 0 and out
+
+
 def test_over_cap_spec_exits_2_before_building(capsys):
     for spec in ("C2000", "C2xC2000"):
         tracemalloc.start()
@@ -583,6 +635,17 @@ def test_sweep_only_fast_criteria(capsys):
     lines = [ln for ln in out.splitlines() if ln.startswith("criterion")]
     assert len(lines) == 3
     assert all("PASS" in ln for ln in lines)
+
+
+# SHA-256 of the full `gradalg sweep` stdout: the battery's lines and
+# details must not move when the engine changes underneath
+SWEEP_STDOUT_SHA256 = "ca84c2d9c43642e6d52c7e50d0bba1dcf4b23668a4d65ed562ae43503ac85335"
+
+
+def test_sweep_stdout_bytes_are_pinned(capsys):
+    code, out, _ = run(capsys, "sweep")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_STDOUT_SHA256
 
 
 def test_sweep_unknown_criterion_exits_2(capsys):

@@ -41,7 +41,6 @@ from gradalg.errors import (
     ModulusTooLarge,
     NotACocycle,
     NotASubgroup,
-    OrderCapExceeded,
     VerificationFailed,
 )
 from gradalg.groups import Subgroup, cyclic, enumerate_subgroups, parse_spec, product
@@ -458,11 +457,6 @@ def test_overflowing_working_modulus_is_refused():
     assert classes_equivalent(rho, zero) is not None
     with pytest.raises(ModulusTooLarge):
         classes_equivalent(rho, zero, working_modulus=8 * 3 ** 18)
-
-
-def test_h2_order_cap():
-    with pytest.raises(OrderCapExceeded):
-        h2_over_Fstar(product(cyclic(4), cyclic(4)), order_cap=8)
 
 
 def test_all_classes_enumeration(klein, q8):

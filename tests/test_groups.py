@@ -19,8 +19,6 @@ from gradalg.groups import (
     parse_spec,
     product,
     quaternion8,
-    same_group,
-    same_subgroup,
     symmetric,
 )
 
@@ -250,10 +248,10 @@ class TestSubgroups(unittest.TestCase):
         a = cyclic(4)
         b = cyclic(4)
         self.assertIsNot(a, b)
-        self.assertTrue(same_group(a, b))
-        self.assertFalse(same_group(a, product(cyclic(2), cyclic(2))))
-        self.assertTrue(same_subgroup(Subgroup(a, (0, 2)), Subgroup(b, (0, 2))))
-        self.assertFalse(same_subgroup(Subgroup(a, (0, 2)), b.full_subgroup()))
+        self.assertTrue(a == b)
+        self.assertTrue(a != product(cyclic(2), cyclic(2)))
+        self.assertTrue(Subgroup(a, (0, 2)) == Subgroup(b, (0, 2)))
+        self.assertTrue(Subgroup(a, (0, 2)) != b.full_subgroup())
 
 
 class TestCachePolicy(unittest.TestCase):

@@ -1,5 +1,7 @@
 """Multilinear graded identities: spaces, evaluation, and containment."""
+import hashlib
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -202,6 +204,20 @@ def test_containment_validation(plain, c4):
 
     with pytest.raises(AmbientMismatch):
         multilinear_containment(plain, TwistedGroupAlgebra(c4.full_subgroup()), 1)
+
+
+# SHA-256 of json.dumps(containment_to_json(rep), sort_keys=True) for the
+# degree-4 containment of M_2(F^sign[V4]) in M_2(F[V4]), theta = (0, 1): the
+# report must not move when the evaluation or the kill check changes
+DEGREE_4_SHA256 = "6801a2dce220f60085e988927b72bfc80cad4948042bc791e6b96c5e1e1ae326"
+
+
+def test_degree_4_containment_report_is_pinned(plain, signed):
+    rep = multilinear_containment(GradedMatrixAlgebra(signed, (0, 1)),
+                                  GradedMatrixAlgebra(plain, (0, 1)), 4,
+                                  EngineConfig(work_budget=10**7))
+    text = json.dumps(jsonio.containment_to_json(rep), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == DEGREE_4_SHA256
 
 
 def test_matrix_algebra_identity_space(c4):
