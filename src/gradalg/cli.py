@@ -22,7 +22,7 @@ from .cocycles import (
     is_cocycle,
     restrict,
 )
-from .config import load_config
+from .config import DEFAULT_ORDER_CAP, load_config
 from .embed import (
     as_matrix_algebra,
     build_tower,
@@ -55,7 +55,7 @@ def _ws_lookup(ws, section, name, what):
     return table[name]
 
 
-def parse_group_spec(spec, ws=None, order_cap=None):
+def parse_group_spec(spec, ws=None, order_cap=DEFAULT_ORDER_CAP):
     """A group from 'C4', 'C2xC2', 'D4', 'Q8', 'S3', 'table:@file.json',
     or 'ws:name' against a loaded workspace."""
     if spec.startswith("ws:"):

@@ -19,7 +19,7 @@ from gradalg import embed, jsonio
 from gradalg.catalog import catalog_group, klein_sign_cocycle
 from gradalg.cli import main, parse_group_spec
 from gradalg.cocycles import ExpCocycle, ExpFunction, coboundary_from, trivial_cocycle
-from gradalg.errors import SpecMalformed
+from gradalg.errors import OrderCapExceeded, SpecMalformed
 from gradalg.groups import Subgroup, cyclic, product
 from gradalg.matalg import GradedMatrixAlgebra
 from gradalg.twisted import TwistedGroupAlgebra
@@ -255,6 +255,9 @@ def test_parse_group_spec_direct():
     assert parse_group_spec("D4").order == 8
     with pytest.raises(SpecMalformed):
         parse_group_spec("Q16")
+    with pytest.raises(OrderCapExceeded):
+        parse_group_spec("C100")
+    assert parse_group_spec("C100", order_cap=None).order == 100
 
 
 # -- cocycle subcommands --------------------------------------------------------------
