@@ -20,7 +20,7 @@ from gradalg.catalog import catalog_group, klein_sign_cocycle
 from gradalg.cli import main, parse_group_spec
 from gradalg.cocycles import ExpCocycle, ExpFunction, coboundary_from, trivial_cocycle
 from gradalg.errors import OrderCapExceeded, SpecMalformed
-from gradalg.groups import Subgroup, cyclic, product
+from gradalg.groups import Subgroup, cyclic, parse_spec, product
 from gradalg.matalg import GradedMatrixAlgebra
 from gradalg.twisted import TwistedGroupAlgebra
 
@@ -48,6 +48,8 @@ def files(tmp_path_factory):
 
     g8 = product(cyclic(2), cyclic(2), cyclic(2))
     v4_in_g8 = Subgroup(g8, (0, 1, 2, 3))
+    g16 = parse_spec("C2xC2xC2xC2")
+    v4_in_g16 = Subgroup(g16, (0, 1, 2, 3))
     c2c4 = product(cyclic(2), cyclic(4))
     v4_in_c2c4 = Subgroup(c2c4, (0, 2, 4, 6))
 
@@ -70,6 +72,8 @@ def files(tmp_path_factory):
         "ext_fail": jsonio.cocycle_to_json(klein_sign_cocycle(v4_in_c2c4)),
         "tower_ok": jsonio.algebra_to_json(
             TwistedGroupAlgebra(v4_in_g8, klein_sign_cocycle(v4_in_g8))),
+        "tower_c2_4": jsonio.algebra_to_json(
+            TwistedGroupAlgebra(v4_in_g16, klein_sign_cocycle(v4_in_g16))),
         "tower_fail": jsonio.algebra_to_json(
             TwistedGroupAlgebra(v4_in_c2c4, klein_sign_cocycle(v4_in_c2c4))),
         "klein_table": jsonio.group_to_json(klein),
@@ -565,6 +569,20 @@ def test_tower_command(capsys, files):
     assert len(obj["steps"]) == 1
     assert obj["steps"][0]["verdict"] == "yes"
     assert obj["squares"][0]["commutes"] is True
+
+
+# SHA-256 of `gradalg tower` stdout for the sign class on {0,1,2,3} of
+# C2xC2xC2xC2 climbed to order 8 and 16 with 2x2 corner squares: each step
+# extends the class to a proper subgroup of the ambient group
+TOWER_STDOUT_SHA256 = "e9d266511fb72686a31ac3d01663da2309ee911598242e76934277b1ff633146"
+
+
+def test_tower_stdout_bytes_are_pinned(capsys, files):
+    code, out, _ = run(capsys, "tower", "--algebra", files["tower_c2_4"],
+                       "--chain", "0,1,2,3;0,1,2,3,4,5,6,7;" + ",".join(map(str, range(16))),
+                       "--k", "2", "--t", "2")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TOWER_STDOUT_SHA256
 
 
 def test_tower_extension_failure(capsys, files):
