@@ -128,7 +128,7 @@ def _cmd_cocycle(args, cfg, ws):
     if args.action == "equiv":
         a = _load_cocycle(args.a, ws, cfg)
         b = _load_cocycle(args.b, ws, cfg)
-        f = classes_equivalent(a, b, working_modulus=cfg.modulus_override)
+        f = classes_equivalent(a, b)
         if f is None:
             _emit({"equivalent": False})
             return 3
@@ -245,8 +245,6 @@ def _parser():
                      help="config JSON (default: the GRADALG_CONFIG file, if set)")
     top.add_argument("--order-cap", type=int, metavar="N",
                      help="largest accepted group order")
-    top.add_argument("--modulus", type=int, metavar="M",
-                     help="working-modulus override for class equivalence")
     top.add_argument("--budget", type=int, metavar="W",
                      help="work budget for identity-space sweeps")
     sub = top.add_subparsers(dest="command", required=True)
@@ -346,8 +344,6 @@ def _make_config(args):
         over["order_cap"] = args.order_cap
     if args.budget is not None:
         over["work_budget"] = args.budget
-    if args.modulus is not None:
-        over["modulus_override"] = args.modulus
     return dataclasses.replace(cfg, **over)
 
 

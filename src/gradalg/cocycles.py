@@ -6,6 +6,8 @@ algebraically closed field of characteristic zero reduce to linear algebra
 over Z/M_w at the working modulus M_w = M*exp(H): if sigma/rho is a
 coboundary of some f valued in the field, then f^M is a homomorphism, hence
 valued in exp(H)-th roots of unity, so f itself can be taken in mu_{M_w}.
+That modulus is the only one used: any multiple of it gives the same
+verdicts, and a smaller one can miss the f that exists.
 
 The linear systems live in edge coordinates (see _Frame): a normalized
 cocycle on a group of order n is fixed by its n-1 values at each generator
@@ -13,18 +15,23 @@ of a generating set X, so the unknowns number (n-1)*|X|, and the cocycle
 space is cut out by one row per Schreier relator of the Cayley graph and
 non-identity base point. Full tables are built only for output.
 
-H^2(G, F*) is computed from the kernel of the relator rows over Z/M
-(M = |G|), rescaled into Z/(M*exp(G)) where coboundaries are identified,
+H^2(K, F*) is computed from the kernel of the relator rows over Z/M
+(M = |K|), rescaled into Z/(M*exp(K)) where coboundaries are identified,
 and the quotient structure is extracted by diagonalization; representatives
 are made deterministic by canonical reduction against the identified
 subgroup. Equivalence, class order and extension solve for a coboundary in
 the edge coordinates of the cocycle's own domain.
+
+Every computation works on a subgroup K in place, on the position table of
+its members, and keeps its frame, kernels, solvers and H^2 in K's parent's
+store under K's members. The public functions that take a group G run on
+G.full_subgroup(); all_classes and extend_class take a subgroup as it is.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import lcm
+from math import lcm, prod
 
 import numpy as np
 
@@ -42,7 +49,9 @@ from .modlin import _BLOCK_ROWS, ModularSolver, RowReducer, howell_reduce, kerne
 class ExpCocycle:
     """A 2-cocycle on H in exponent form modulo its modulus.
 
-    The table is read-only, so is_cocycle checks it once per object.
+    The table is read-only, so is_cocycle checks it once per object, and a
+    cocycle derived from a checked one by the operations below is not
+    checked again.
     """
 
     def __init__(self, domain: Subgroup, modulus, mat):
@@ -72,7 +81,8 @@ class ExpCocycle:
         return field.root(self.entry(x, y) * step)
 
     def scaled(self, k):
-        return ExpCocycle(self.domain, self.modulus, (self.mat * int(k)) % self.modulus)
+        out = ExpCocycle(self.domain, self.modulus, (self.mat * int(k)) % self.modulus)
+        return _derived(self, out)
 
     def __eq__(self, other):
         return (
@@ -139,6 +149,15 @@ def is_cocycle(sig: ExpCocycle) -> bool:
     return sig._valid
 
 
+def _derived(source: ExpCocycle, out: ExpCocycle) -> ExpCocycle:
+    """out, marked valid when source is known valid: scaling, restriction,
+    conjugation and normalization by a constant preserve the identity. An
+    invalid source marks nothing, since its image may be valid."""
+    if source._valid:
+        out._valid = True
+    return out
+
+
 def _satisfies_identity(sig: ExpCocycle) -> bool:
     """The 2-cocycle identity at every triple, O(|H|^3)."""
     mul = _pos_mul(sig.domain)
@@ -154,7 +173,9 @@ def coboundary_from(f: ExpFunction) -> ExpCocycle:
     mul = _pos_mul(H)
     v = f.vec
     mat = (v[:, None] + v[None, :] - v[mul]) % f.modulus
-    return ExpCocycle(H, f.modulus, mat)
+    out = ExpCocycle(H, f.modulus, mat)
+    out._valid = True  # every coboundary is a cocycle
+    return out
 
 
 def normalize(sig: ExpCocycle):
@@ -166,7 +187,7 @@ def normalize(sig: ExpCocycle):
     if not is_cocycle(sig):
         raise NotACocycle("normalize requires a valid cocycle")
     c = int(sig.mat[0, 0])
-    out = ExpCocycle(sig.domain, sig.modulus, sig.mat - c)
+    out = _derived(sig, ExpCocycle(sig.domain, sig.modulus, sig.mat - c))
     f = ExpFunction(sig.domain, sig.modulus,
                     np.full(sig.domain.order, c, dtype=np.int64))
     return out, f
@@ -179,7 +200,7 @@ def restrict(sig: ExpCocycle, H: Subgroup) -> ExpCocycle:
     if not H <= dom:
         raise NotASubgroup("restriction target is not inside the cocycle domain")
     pos = [dom.position(x) for x in H.members]
-    return ExpCocycle(H, sig.modulus, sig.mat[np.ix_(pos, pos)])
+    return _derived(sig, ExpCocycle(H, sig.modulus, sig.mat[np.ix_(pos, pos)]))
 
 
 def conjugate_class(sig: ExpCocycle, xi) -> ExpCocycle:
@@ -193,7 +214,7 @@ def conjugate_class(sig: ExpCocycle, xi) -> ExpCocycle:
     mat = np.zeros_like(sig.mat)
     cpos = K.position_array[G.mul_array[G.mul_array[xi, H.member_array], G.inv_array[xi]]]
     mat[cpos[:, None], cpos[None, :]] = sig.mat
-    return ExpCocycle(K, sig.modulus, mat)
+    return _derived(sig, ExpCocycle(K, sig.modulus, mat))
 
 
 # ---------------------------------------------------------------------------
@@ -342,36 +363,38 @@ def _cob_solver(H: Subgroup, m_w) -> ModularSolver:
                            lambda: ModularSolver(_frame(H).coboundary, m_w))
 
 
-def cocycle_kernel(G: FiniteGroup, modulus):
-    """Howell basis of the normalized cocycle space of G over Z/modulus, in
-    the edge coordinates of G's frame."""
+def _kernel(K: Subgroup, modulus):
+    """Howell basis of the normalized cocycle space of K over Z/modulus, in
+    the edge coordinates of K's frame."""
     def build():
-        fr = _frame(G.full_subgroup())
+        fr = _frame(K)
         red = RowReducer(modulus, fr.width)
         for rows in fr.relator_blocks():
             red.add_matrix(rows % modulus)
         basis = red.basis()
         # kernel_mod's rows are already the reduced Howell basis of the kernel
         return kernel_mod(basis, modulus) if basis.shape[0] else np.eye(fr.width, dtype=np.int64)
-    return G.cached(("cockernel", modulus), build)
+    return K.parent.cached(("cockernel", K.members, modulus), build)
 
 
-def classes_equivalent(sig: ExpCocycle, rho: ExpCocycle, working_modulus=None):
+def cocycle_kernel(G: FiniteGroup, modulus):
+    """Howell basis of the normalized cocycle space of G over Z/modulus, in
+    the edge coordinates of G's frame."""
+    return _kernel(G.full_subgroup(), modulus)
+
+
+def classes_equivalent(sig: ExpCocycle, rho: ExpCocycle):
     """Some(f) with coboundary_from(f) equal to sig - rho at the working
-    modulus (both lifted there), else None.
+    modulus lcm * exp(H) (both lifted there), else None.
 
-    Moduli are harmonized to their lcm before lifting; the default working
-    modulus lcm * exp(H) decides equivalence over any algebraically closed
-    field of characteristic zero. Both cocycles are normalized, hence fixed
-    by their edge values, so the system is solved in edge coordinates.
+    That modulus decides equivalence over any algebraically closed field of
+    characteristic zero. Both cocycles are normalized, hence fixed by their
+    edge values, so the system is solved in edge coordinates.
     """
     if sig.domain != rho.domain:
         raise DomainMismatch("cocycles live on different subgroups")
     H = sig.domain
-    base = lcm(sig.modulus, rho.modulus)
-    m_w = int(working_modulus) if working_modulus is not None else base * H.exponent
-    if m_w < 1 or m_w % sig.modulus or m_w % rho.modulus:
-        raise DomainMismatch("working modulus must be a positive multiple of both moduli")
+    m_w = lcm(sig.modulus, rho.modulus) * H.exponent
     e1 = m_w // sig.modulus
     e2 = m_w // rho.modulus
     sn, f1 = normalize(sig)
@@ -390,83 +413,77 @@ def classes_equivalent(sig: ExpCocycle, rho: ExpCocycle, working_modulus=None):
 
 
 def class_order(sig: ExpCocycle):
-    """Least k >= 1 with k*sig trivial over the field; divides |H|."""
+    """Least k >= 1 with k*sig trivial over the field; divides |H|.
+
+    Read off the Smith form of H's coboundary system at M*exp(H): k*sig is
+    a coboundary exactly when k*b is solvable for b the lifted edge values.
+    """
     sn, _ = normalize(sig)
     H = sig.domain
     if H.order == 1:
         return 1
     m_w = sig.modulus * H.exponent
-    e1 = m_w // sig.modulus
-    base = _frame(H).edges(sn.mat)
-    solver = _cob_solver(H, m_w)
-    for k in range(1, H.order + 1):
-        if solver.solve((k * e1 * base) % m_w) is not None:
-            if H.order % k:
-                raise VerificationFailed(f"class order {k} does not divide |H| = {H.order}")
-            return k
-    raise VerificationFailed(f"no class order up to |H| = {H.order}")
+    k = _cob_solver(H, m_w).order(H.exponent * _frame(H).edges(sn.mat))
+    if H.order % k:
+        raise VerificationFailed(f"class order {k} does not divide |H| = {H.order}")
+    return k
 
 
-def _extend_solver(G: FiniteGroup, H: Subgroup, m_w) -> ModularSolver:
-    """Solver of S c = edge_H(sigma): S holds G's kernel rows expanded at H's
-    edges.  No coboundary columns of H are needed: G's kernel holds every
-    coboundary of G, and restriction maps those onto H's coboundaries."""
+def _extend_solver(K: Subgroup, H: Subgroup, m_w) -> ModularSolver:
+    """Solver of S c = edge_H(sigma): S holds K's kernel rows expanded at H's
+    edges.  No coboundary columns of H are needed: K's kernel holds every
+    coboundary of K, and restriction maps those onto H's coboundaries."""
     def build():
-        K = cocycle_kernel(G, m_w)
+        C = _kernel(K, m_w)
         fr = _frame(H)
-        mem = np.array(H.members, dtype=np.int64)
-        tables = _frame(G.full_subgroup()).expand(K, m_w)
-        S = tables[:, mem[1:, None], mem[fr.gens][None, :]].reshape(K.shape[0], fr.width)
+        mem = K.position_array[H.member_array]
+        tables = _frame(K).expand(C, m_w)
+        S = tables[:, mem[1:, None], mem[fr.gens][None, :]].reshape(C.shape[0], fr.width)
         return ModularSolver(S.T, m_w)
-    return G.cached(("extsolver", H.members, m_w), build)
+    return K.parent.cached(("extsolver", K.members, H.members, m_w), build)
 
 
-def extend_class(sig: ExpCocycle, G: FiniteGroup):
-    """A cocycle on all of G whose restriction to H is equivalent to sig.
+def extend_class(sig: ExpCocycle, G):
+    """A cocycle on G whose restriction to H is equivalent to sig.
 
-    Solved as one linear system at modulus M*exp(G) in H's edge
-    coordinates, with unknown coefficients over the cocycle space of G.
-    That space holds G's coboundaries, whose restrictions are all of H's,
-    so the system needs no coboundary unknowns. Returns None when no class
-    of G restricts to the class of sig. That happens even for H central: the sign class on the
+    G is a group that H lies in, or a subgroup of it that contains H; the
+    result lives on G.full_subgroup() or on that subgroup. Solved as one
+    linear system at modulus M*exp(G) in H's edge coordinates, with unknown
+    coefficients over the cocycle space of G. That space holds G's
+    coboundaries, whose restrictions are all of H's, so the system needs no
+    coboundary unknowns. Returns None when no class of G restricts to the
+    class of sig. That happens even for H central: the sign class on the
     Klein four subgroup {0, 2, 4, 6} of C2 x C4 does not extend. Its
     alternating form is -1 on a pair (u, w^2) with w in G, while the form of
     a restricted class gives beta(u, w^2) = beta(u, w)^2 = 1.
     """
+    K = G if isinstance(G, Subgroup) else G.full_subgroup()
     H = sig.domain
-    if H.parent != G:
+    if not H <= K:
         raise NotASubgroup("cocycle domain is not a subgroup of the target group")
     sn, _ = normalize(sig)
-    m_w = sig.modulus * G.exponent
-    full = G.full_subgroup()
-    if H.order == 1 or G.order == 1:
-        return trivial_cocycle(full, m_w)
+    m_w = sig.modulus * K.exponent
+    if H.order == 1 or K.order == 1:
+        return trivial_cocycle(K, m_w)
     e1 = m_w // sig.modulus
-    solver = _extend_solver(G, H, m_w)
-    sol = solver.solve((e1 * _frame(H).edges(sn.mat)) % m_w)
+    sol = _extend_solver(K, H, m_w).solve((e1 * _frame(H).edges(sn.mat)) % m_w)
     if sol is None:
         return None
-    K = cocycle_kernel(G, m_w)
-    vec = (sol @ K) % m_w
-    return ExpCocycle(full, m_w, _frame(full).expand(vec, m_w)[0])
+    vec = (sol @ _kernel(K, m_w)) % m_w
+    return ExpCocycle(K, m_w, _frame(K).expand(vec, m_w)[0])
 
 
-def h2_over_Fstar(G: FiniteGroup) -> H2Description:
-    """H^2(G, F*) for F algebraically closed of characteristic zero.
-
-    Returns invariant factors (ascending divisibility, 1s dropped), one
-    deterministic representative cocycle per factor at base modulus |G|,
-    and the group order.
-    """
+def _h2(K: Subgroup):
+    """Invariant factors of H^2(K, F*) and one representative cocycle on K
+    per factor, at base modulus |K|."""
     def build():
-        M = G.order
+        M = K.order
         if M == 1:
-            return H2Description(G, 1, 1, (), (), 1)
-        e = G.exponent
+            return (), ()
+        e = K.exponent
         N = M * e
-        full = G.full_subgroup()
-        fr = _frame(full)
-        KM = cocycle_kernel(G, M)
+        fr = _frame(K)
+        KM = _kernel(K, M)
         GE = (e * KM) % N
         k = GE.shape[0]
         sysmat = np.concatenate([GE.T, (-fr.coboundary) % N], axis=1)
@@ -479,46 +496,45 @@ def h2_over_Fstar(G: FiniteGroup) -> H2Description:
         eb = howell_reduce((rel @ GE) % N, N) if rel.shape[0] else RowReducer(N, GE.shape[1])
         factors = []
         reps = []
-        order = 1
         for j, d in enumerate(snf.diag):
             if d == 1:
                 continue
             if M % d:
                 raise VerificationFailed(f"H^2 invariant factor {d} does not divide |G| = {M}")
             factors.append(int(d))
-            order *= int(d)
             vec = (snf.Vinv[j] @ GE) % N
             vec = eb.reduce_vector(vec)
             if (vec % e).any():
                 raise VerificationFailed(f"H^2 representative is not divisible by exp(G) = {e}")
-            reps.append(ExpCocycle(full, M, fr.expand(vec // e, M)[0]))
-        return H2Description(G, M, N, tuple(factors), tuple(reps), order)
-    return G.cached("h2desc", build)
+            reps.append(ExpCocycle(K, M, fr.expand(vec // e, M)[0]))
+        return tuple(factors), tuple(reps)
+    return K.parent.cached(("h2", K.members), build)
 
 
-def subgroup_class_representatives(H: Subgroup):
-    """H^2 class representatives of H as cocycles with domain H.
+def h2_over_Fstar(G: FiniteGroup) -> H2Description:
+    """H^2(G, F*) for F algebraically closed of characteristic zero.
 
-    Positions in H.as_group() coincide with member positions, so matrices
-    carry over verbatim.
+    Returns invariant factors (ascending divisibility, 1s dropped), one
+    deterministic representative cocycle per factor at base modulus |G|,
+    and the group order.
     """
-    desc = h2_over_Fstar(H.as_group())
-    return [ExpCocycle(H, rep.modulus, rep.mat) for rep in desc.representatives]
+    def build():
+        factors, reps = _h2(G.full_subgroup())
+        return H2Description(G, G.order, G.order * G.exponent, factors, reps, prod(factors))
+    return G.cached("h2desc", build)
 
 
 def all_classes(H: Subgroup):
     """One cocycle per H^2 class of H (the full group, not just generators)."""
-    desc = h2_over_Fstar(H.as_group())
-    reps = subgroup_class_representatives(H)
+    factors, reps = _h2(H)
     out = []
     seen = set()
-    ranges = [range(d) for d in desc.invariant_factors]
-    for combo in itertools.product(*ranges):
+    for combo in itertools.product(*(range(d) for d in factors)):
         mat = np.zeros((H.order, H.order), dtype=np.int64)
         for c, rep in zip(combo, reps):
-            mat = (mat + c * rep.mat) % desc.base_modulus
+            mat = (mat + c * rep.mat) % H.order
         key = mat.tobytes()
         if key not in seen:
             seen.add(key)
-            out.append(ExpCocycle(H, desc.base_modulus, mat))
+            out.append(ExpCocycle(H, H.order, mat))
     return out

@@ -1,4 +1,4 @@
-"""Engine configuration: size caps and solver overrides.
+"""Engine configuration: size caps and the work budget.
 
 A config travels explicitly through the CLI; library callers normally pass
 keyword overrides to the few operations that take them. The GRADALG_CONFIG
@@ -22,7 +22,6 @@ class EngineConfig:
     order_cap: int = DEFAULT_ORDER_CAP
     degree_cap: int = DEFAULT_DEGREE_CAP
     work_budget: int = DEFAULT_WORK_BUDGET
-    modulus_override: int | None = None
 
 
 def load_config(path: str | None = None) -> EngineConfig:
@@ -40,7 +39,7 @@ def load_config(path: str | None = None) -> EngineConfig:
         raise ParseError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError(f"config file {path}: expected a JSON object")
-    known = {"order_cap", "degree_cap", "work_budget", "modulus_override"}
+    known = {"order_cap", "degree_cap", "work_budget"}
     bad = sorted(set(raw) - known)
     if bad:
         raise ParseError(f"config file {path}: unknown keys {bad}")

@@ -12,7 +12,7 @@ from math import lcm
 
 import numpy as np
 
-from .cocycles import ExpCocycle, classes_equivalent, conjugate_class, extend_class, restrict
+from .cocycles import classes_equivalent, conjugate_class, extend_class, restrict
 from .cyclo import cyclo_field
 from .errors import (
     ChainNotCentral,
@@ -24,7 +24,7 @@ from .errors import (
     VerificationFailed,
 )
 from .graded import GradedMap, one_ambient
-from .groups import Subgroup, is_central_in
+from .groups import is_central_in
 from .matalg import (
     GradedMatrixAlgebra,
     LambdaWitness,
@@ -360,23 +360,6 @@ def product_embed(sources, targets):
 # -- towers of central extensions --------------------------------------------
 
 
-def _extend_within(sigma, H_next):
-    """Extend a class from its domain to the bigger subgroup H_next.
-
-    The domain is re-coordinatized as a subgroup of H_next.as_group(), the
-    extension is solved there, and the result is carried back verbatim
-    (member order is preserved by the position map)."""
-    H_low = sigma.domain
-    G_next = H_next.as_group()
-    positions = tuple(H_next.position(m) for m in H_low.members)
-    inner = ExpCocycle(Subgroup(G_next, positions, _validated=True),
-                       sigma.modulus, sigma.mat)
-    ext = extend_class(inner, G_next)
-    if ext is None:
-        raise ExtensionFailed("step cocycle does not extend to the larger subgroup")
-    return ExpCocycle(H_next, ext.modulus, ext.mat)
-
-
 def _corner_square(B1, B2, k, t):
     """The commuting square of corner embeddings M_k -> M_t over B1 -> B2.
 
@@ -415,6 +398,7 @@ def build_tower(B, chain, k=1, t=1):
         raise ValidationError("chain must contain at least one subgroup")
     if not (1 <= k <= t):
         raise ValidationError("matrix sizes must satisfy 1 <= k <= t")
+    one_ambient(B, *chain)
     if chain[0] != B.subgroup:
         raise DomainMismatch("chain must start at the algebra's support subgroup")
     for idx in range(len(chain) - 1):
@@ -429,7 +413,9 @@ def build_tower(B, chain, k=1, t=1):
     steps = []
     squares = []
     for idx in range(len(chain) - 1):
-        ext = _extend_within(cocycles[-1], chain[idx + 1])
+        ext = extend_class(cocycles[-1], chain[idx + 1])
+        if ext is None:
+            raise ExtensionFailed("step cocycle does not extend to the larger subgroup")
         nxt = TwistedGroupAlgebra(chain[idx + 1], ext)
         step = twisted_embed(algebras[-1], nxt)
         if not step.verdict:

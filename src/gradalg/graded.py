@@ -33,12 +33,14 @@ from .errors import (
     NotHomogeneous,
     ZeroElement,
 )
+from .groups import Subgroup
 
 
-def one_ambient(*algebras):
-    """AmbientMismatch unless every algebra is graded by one group table."""
-    G = algebras[0].ambient
-    if any(A.ambient != G for A in algebras[1:]):
+def one_ambient(*items):
+    """AmbientMismatch unless every algebra and subgroup given lives on one
+    group table: an algebra's grading group, a subgroup's parent."""
+    groups = [x.parent if isinstance(x, Subgroup) else x.ambient for x in items]
+    if any(G != groups[0] for G in groups[1:]):
         raise AmbientMismatch("algebras are graded by different groups")
 
 

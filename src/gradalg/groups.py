@@ -241,16 +241,6 @@ class Subgroup:
     def exponent(self):
         return self._cached("exponent", lambda: lcm(*map(self.parent.element_order, self.members)))
 
-    def as_group(self) -> FiniteGroup:
-        """The subgroup as a standalone group on identifiers 0..|H|-1 (member positions)."""
-        def build():
-            mem, G = self.members, self.parent
-            table = [[self.positions[G.mul(a, b)] for b in mem] for a in mem]
-            return FiniteGroup(table, name=f"{G.name}|{list(mem)}",
-                               labels=[G.label_of(m) for m in mem], order_cap=None,
-                               _validated=True)
-        return self._cached("as_group", build)
-
     def is_central(self):
         return self._cached("central", lambda: set(self.members) <= set(self.parent.center))
 

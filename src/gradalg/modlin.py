@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -478,3 +478,9 @@ class ModularSolver:
         if np.count_nonzero(rem):
             return None
         return (self.V @ q[:self.V.shape[1]]) % self.N
+
+    def order(self, b):
+        """The least k >= 1 with A x ≡ k b solvable: row i asks that its
+        modulus divide k c_i, so k is the lcm of mods_i / gcd(c_i, mods_i)."""
+        c = (self.U @ (np.asarray(b, dtype=np.int64) % self.N)) % self.N
+        return lcm(*(self.mods // np.gcd(c, self.mods)).tolist())

@@ -44,6 +44,8 @@ def test_summary_on_fixed_numbers():
         "parent_median": 0.30, "parent_q1": 0.225, "parent_q3": 0.375,
         "change_median": 0.21, "change_min": 0.10, "change_max": 0.30,
         "change_better_in": "3/5",  # 0.21 > 0.20 loses, 0.25 = 0.25 ties
+        # ratios 0.667 1.05 0.75 1.0 0.286
+        "ratio_median": 0.75, "ratios_below_1": 3, "ratios_above_1": 1,
     }
     assert ident["pass_ratio"]["change_better_in"] == "0/5"
     assert ident["pass_ratio"]["change_min"] == pytest.approx(0.9)
@@ -51,3 +53,26 @@ def test_summary_on_fixed_numbers():
     assert h2["pairs"] == 1 and h2["failed"] == 0
     assert h2["wall_s"]["parent_q1"] == h2["wall_s"]["parent_q3"] == 0.4
     assert h2["wall_s"]["change_better_in"] == "0/1"
+
+
+def test_pair_ratios_cancel_a_shift_between_pairs():
+    """The host runs pairs 0-2 at one speed and pairs 3-5 at 1.6x that: the
+    medians of the two sides fall in different speed modes, while the ratio
+    within each pair reads the change 10% slower in every pair."""
+    parent = [0.10, 0.11, 0.10, 0.16, 0.176, 0.16]
+    runs = []
+    for i, p in enumerate(parent):
+        runs.append(_run("extend", "parent", i, p, 1.0))
+        runs.append(_run("extend", "change", i, round(p * 1.1, 4), 1.0))
+    # a parent reading 0 gives no ratio
+    runs.append(_run("extend", "parent", 9, 0.0, 1.0))
+    runs.append(_run("extend", "change", 9, 0.5, 1.0))
+    wall = bench_pairs.summarize(runs, [("wall_s", "lower")])["extend"]["wall_s"]
+    assert wall["change_better_in"] == "0/7"
+    # the medians read the change 60% slower
+    assert (wall["parent_median"], wall["change_median"]) == (0.11, 0.176)
+    assert wall["ratio_median"] == 1.1
+    assert (wall["ratios_below_1"], wall["ratios_above_1"]) == (0, 6)
+    assert bench_pairs.summarize(runs[-2:], [("wall_s", "lower")])["extend"]["wall_s"][
+        "ratio_median"] is None
+

@@ -290,36 +290,59 @@ def test_cocycle_equiv_no(capsys, files):
     assert obj == {"equivalent": False}
 
 
-def test_cocycle_equiv_bad_modulus_override(capsys, files):
-    code, _, err = run(capsys, "--modulus", "3", "cocycle", "equiv",
-                       "--a", files["sig"], "--b", files["triv"])
-    assert code == 2
-    assert "error:" in err
-
-
-def test_cocycle_equiv_overflowing_modulus_exits_2(capsys, tmp_path):
-    """8 * 3**18 overflows int64 in the solver; it once printed "equivalent": false."""
-    full = product(cyclic(2), cyclic(4)).full_subgroup()
-    rho = coboundary_from(ExpFunction(full, 8, [0, 3, 1, 5, 2, 7, 6, 4]))
+def _write_cocycles(tmp_path, **cocycles):
     paths = []
-    for name, sig in (("rho", rho), ("zero", trivial_cocycle(full, 8))):
+    for name, sig in cocycles.items():
         path = tmp_path / f"{name}.json"
         path.write_text(jsonio.dumps(jsonio.cocycle_to_json(sig)), encoding="utf-8")
         paths.append(str(path))
-    code, out, err = run(capsys, "--modulus", "3099363912", "cocycle", "equiv",
-                         "--a", paths[0], "--b", paths[1])
+    return paths
+
+
+def test_cocycle_equiv_bad_modulus_override(capsys, tmp_path):
+    """The coboundary of f = (1, i, 1, i) on C2xC2, at modulus 2, against
+    the zero cocycle: equivalent at the working modulus 4. A --modulus of 2
+    or 6 once printed "equivalent": false; the flag is gone and exits 2."""
+    full = catalog_group("C2xC2").full_subgroup()
+    sig = ExpCocycle(full, 2, [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 0, 0], [0, 1, 0, 1]])
+    a, b = _write_cocycles(tmp_path, sig=sig, zero=trivial_cocycle(full, 2))
+    code, obj, _ = run_json(capsys, "cocycle", "equiv", "--a", a, "--b", b)
+    assert code == 0 and obj["equivalent"] is True
+    for modulus in ("2", "6"):
+        code, out, err = run(capsys, "--modulus", modulus, "cocycle", "equiv", "--a", a, "--b", b)
+        assert (code, out) == (2, "")
+        assert "usage:" in err
+
+
+def test_cocycle_equiv_overflowing_modulus_exits_2(capsys, tmp_path):
+    """Cocycles at modulus 8 * 3**18 on C2xC4 have working modulus
+    32 * 3**18, which overflows int64 in the solver; an overflow once
+    printed "equivalent": false."""
+    full = product(cyclic(2), cyclic(4)).full_subgroup()
+    vec = [0, 3, 1, 5, 2, 7, 6, 4]
+    a, b = _write_cocycles(tmp_path, rho=coboundary_from(ExpFunction(full, 8, vec)),
+                           zero=trivial_cocycle(full, 8))
+    code, obj, _ = run_json(capsys, "cocycle", "equiv", "--a", a, "--b", b)
+    assert code == 0 and obj["equivalent"] is True
+    big = 8 * 3 ** 18
+    a, b = _write_cocycles(
+        tmp_path, rho=coboundary_from(ExpFunction(full, big, [v * 3 ** 18 for v in vec])),
+        zero=trivial_cocycle(full, big))
+    code, out, err = run(capsys, "cocycle", "equiv", "--a", a, "--b", b)
     assert (code, out) == (2, "")
     assert "2**63" in err
-    code, obj, _ = run_json(capsys, "cocycle", "equiv", "--a", paths[0], "--b", paths[1])
-    assert code == 0 and obj["equivalent"] is True
 
 
 @pytest.mark.parametrize("modulus", ["0", "-8"])
-def test_cocycle_equiv_nonpositive_modulus_exits_2(capsys, files, modulus):
-    """A working modulus of 0 was once dropped for the default, and -8 never
+def test_cocycle_equiv_nonpositive_modulus_exits_2(capsys, files, tmp_path, modulus):
+    """A nonpositive cocycle modulus is refused where the file is read. As
+    a working modulus, 0 was once dropped for the default and -8 never
     returned from snf_mod's pivot loop."""
-    code, out, err = run(capsys, "--modulus", modulus, "cocycle", "equiv",
-                         "--a", files["sig"], "--b", files["sig"])
+    obj = json.loads(Path(files["sig"]).read_text(encoding="utf-8"))
+    obj["modulus"] = int(modulus)
+    bad = tmp_path / "bad.json"
+    bad.write_text(jsonio.dumps(obj), encoding="utf-8")
+    code, out, err = run(capsys, "cocycle", "equiv", "--a", str(bad), "--b", files["sig"])
     assert (code, out) == (2, "")
     assert "positive" in err
 

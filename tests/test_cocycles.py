@@ -31,7 +31,6 @@ from gradalg.cocycles import (
     is_cocycle,
     normalize,
     restrict,
-    subgroup_class_representatives,
     trivial_cocycle,
 )
 from gradalg.cyclo import cyclo_field
@@ -43,7 +42,14 @@ from gradalg.errors import (
     NotASubgroup,
     VerificationFailed,
 )
-from gradalg.groups import Subgroup, cyclic, enumerate_subgroups, parse_spec, product
+from gradalg.groups import (
+    FiniteGroup,
+    Subgroup,
+    cyclic,
+    enumerate_subgroups,
+    parse_spec,
+    product,
+)
 from gradalg.modlin import (
     ModularSolver,
     RowReducer,
@@ -111,8 +117,8 @@ def test_lift_and_scale(sign_cocycle):
 def test_nonpositive_modulus_is_refused(sign_cocycle, modulus):
     with pytest.raises(DomainMismatch, match="not positive"):
         ExpCocycle(sign_cocycle.domain, modulus, sign_cocycle.mat)
-    with pytest.raises(DomainMismatch, match="positive multiple"):
-        classes_equivalent(sign_cocycle, sign_cocycle, working_modulus=modulus)
+    with pytest.raises(DomainMismatch, match="not positive"):
+        trivial_cocycle(sign_cocycle.domain, modulus)
 
 
 # -- coboundaries and equivalence ---------------------------------------------
@@ -151,8 +157,18 @@ def test_equivalence_negative(klein, sign_cocycle):
     assert classes_equivalent(sign_cocycle, trivial_cocycle(H)) is None
     with pytest.raises(DomainMismatch):
         classes_equivalent(sign_cocycle, trivial_cocycle(Subgroup(klein, (0, 1))))
-    with pytest.raises(DomainMismatch):
-        classes_equivalent(sign_cocycle, trivial_cocycle(H), working_modulus=3)
+
+
+def test_equivalence_needs_the_full_working_modulus():
+    """The coboundary of f = (1, i, 1, i) on C2 x C2, at modulus 2, is
+    equivalent to the zero cocycle only through a function valued in mu_4:
+    the working modulus 2 * exp(C2 x C2) = 4 finds it."""
+    full = catalog_group("C2xC2").full_subgroup()
+    sig = ExpCocycle(full, 2, [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 0, 0], [0, 1, 0, 1]])
+    assert is_cocycle(sig)
+    f = classes_equivalent(sig, trivial_cocycle(full, 2))
+    assert f is not None and f.modulus == 4
+    assert np.array_equal(coboundary_from(f).mat, lift(sig, 4).mat)
 
 
 def test_normalize(klein, sign_cocycle):
@@ -305,6 +321,56 @@ def test_extension_can_fail_for_central_subgroups():
     assert hit == {1}
 
 
+def test_extension_to_a_subgroup_in_place(sign_cocycle):
+    """extend_class onto a subgroup K that contains the domain gives a
+    cocycle on K itself, at modulus M * exp(K), that restricts to the class."""
+    G = product(cyclic(2), cyclic(2), cyclic(2), cyclic(2))
+    V4 = Subgroup(G, (0, 1, 2, 3))
+    K = Subgroup(G, range(8))
+    sig = ExpCocycle(V4, 2, sign_cocycle.mat)
+    ext = extend_class(sig, K)
+    assert ext.domain == K and ext.modulus == 2 * K.exponent
+    assert classes_equivalent(restrict(ext, V4), sig) is not None
+    assert extend_class(ext, G) is not None
+    with pytest.raises(NotASubgroup):
+        extend_class(sig, Subgroup(G, (0, 1, 4, 5)))
+
+
+def _standalone(K):
+    """K as a group of its own, on the position table of its members."""
+    mul = cocycles._pos_mul(K)
+    for a, x in enumerate(K.members):
+        for b, y in enumerate(K.members):
+            assert K.members[mul[a, b]] == K.parent.mul(x, y)
+    return FiniteGroup(mul.tolist(), order_cap=None)
+
+
+@pytest.mark.parametrize("spec", ["C2xC2xC4", "D4", "Q8", "C4xC4", "C2xC2xC2"])
+def test_subgroup_cohomology_in_place_matches_a_standalone_copy(spec):
+    """Classes and extensions computed on subgroups in place carry the same
+    tables as on a standalone copy of each subgroup: its H^2 representatives
+    and classes, and, for each pair of subgroups H <= K, the extension of
+    every class of H to K."""
+    G = parse_spec(spec)
+    subs = enumerate_subgroups(G)
+    copies = {K.members: _standalone(K) for K in subs}
+    for K in subs:
+        S = copies[K.members]
+        classes = all_classes(K)
+        assert [c.mat.tobytes() for c in classes] == [
+            c.mat.tobytes() for c in all_classes(S.full_subgroup())]
+        for H in subs:
+            if H <= K and H != K:
+                inner = Subgroup(S, [K.position(x) for x in H.members])
+                for sig in all_classes(H):
+                    ext = extend_class(sig, K)
+                    alone = extend_class(ExpCocycle(inner, sig.modulus, sig.mat), S)
+                    assert (ext is None) == (alone is None)
+                    if ext is not None:
+                        assert ext.domain == K and ext.modulus == alone.modulus
+                        assert np.array_equal(ext.mat, alone.mat)
+
+
 def test_extend_class_checks_the_cocycle_once(monkeypatch, sign_cocycle):
     G = product(cyclic(2), cyclic(2), cyclic(2))
     sig = ExpCocycle(Subgroup(G, (0, 1, 2, 3)), 2, sign_cocycle.mat)
@@ -432,31 +498,56 @@ def test_h2_relations_are_a_reduced_howell_basis(monkeypatch):
 
 
 class _StubSolver:
-    """Answers solvable from the `hit`-th right-hand side on, never if hit is None."""
+    """Reports the class order `hit` for every right-hand side."""
 
     def __init__(self, hit):
-        self.hit, self.calls = hit, 0
+        self.hit = hit
 
-    def solve(self, b):
-        self.calls += 1
-        return None if self.hit is None or self.calls < self.hit else np.zeros(1)
+    def order(self, b):
+        return self.hit
 
 
-@pytest.mark.parametrize("hit,message", [(3, "does not divide"), (None, "no class order")])
+@pytest.mark.parametrize("hit,message", [(3, "does not divide")])
 def test_class_order_checks_its_answer(monkeypatch, sign_cocycle, hit, message):
     monkeypatch.setattr(cocycles, "_cob_solver", lambda H, m_w: _StubSolver(hit))
     with pytest.raises(VerificationFailed, match=message):
         class_order(sign_cocycle)
 
 
+def _class_order_by_loop(sig):
+    """The least k with k*sig equivalent to the zero cocycle, one
+    equivalence solve per k."""
+    zero = trivial_cocycle(sig.domain, sig.modulus)
+    return next(k for k in range(1, sig.domain.order + 1)
+                if classes_equivalent(sig.scaled(k), zero) is not None)
+
+
+def test_class_order_matches_the_loop():
+    """The order read off the Smith form equals the least k found by one
+    solve per k, for every class of every subgroup of the catalog and for
+    three times each class."""
+    cases = 0
+    for _, G, _ in catalog_groups():
+        for H in enumerate_subgroups(G):
+            for sig in all_classes(H):
+                for s in (sig, sig.scaled(3)):
+                    assert class_order(s) == _class_order_by_loop(s), (G, H.members)
+                    cases += 1
+    assert cases == 438
+
+
 def test_overflowing_working_modulus_is_refused():
-    """8 * 3**18 overflows int64 in the solver; it once answered "inequivalent"."""
+    """A cocycle at modulus 8 * 3**18 has working modulus 32 * 3**18, which
+    overflows int64 in the solver; an overflow once answered "inequivalent"."""
     full = product(cyclic(2), cyclic(4)).full_subgroup()
-    rho = coboundary_from(ExpFunction(full, 8, [0, 3, 1, 5, 2, 7, 6, 4]))
+    vec = [0, 3, 1, 5, 2, 7, 6, 4]
+    rho = coboundary_from(ExpFunction(full, 8, vec))
     zero = trivial_cocycle(full, 8)
     assert classes_equivalent(rho, zero) is not None
+    big = 8 * 3 ** 18
+    rho = coboundary_from(ExpFunction(full, big, [v * 3 ** 18 for v in vec]))
     with pytest.raises(ModulusTooLarge):
-        classes_equivalent(rho, zero, working_modulus=8 * 3 ** 18)
+        classes_equivalent(rho, trivial_cocycle(full, big))
 
 
 def test_all_classes_enumeration(klein, q8):
@@ -465,10 +556,10 @@ def test_all_classes_enumeration(klein, q8):
     orders = sorted(class_order(c) for c in classes)
     assert orders == [1, 2]
     assert len(all_classes(q8.full_subgroup())) == 1
-    # a line has trivial class group: no generators, one class overall
+    # a line has trivial class group: one class overall, the zero table
     line = Subgroup(klein, (0, 1))
-    assert subgroup_class_representatives(line) == []
-    assert len(all_classes(line)) == 1
+    (zero,) = all_classes(line)
+    assert zero.domain == line and not zero.mat.any()
 
 
 def test_cocycle_kernel_members_are_cocycles():
@@ -541,6 +632,43 @@ def test_cocycle_validity_is_checked_once_per_object(monkeypatch, sign_cocycle):
     assert class_order(sig) == 2
     assert [s is sig for s in checked].count(True) == 1
     assert [s is rho for s in checked].count(True) == 1
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_derived_cocycles_satisfy_the_identity(data):
+    """Scaling, normalizing, restricting and conjugating a checked cocycle,
+    and taking a coboundary, give cocycles marked valid without a check;
+    the identity holds on each."""
+    G = catalog_group(data.draw(st.sampled_from(["C2xC2", "C4", "S3", "Q8", "D4", "C2xC4"])))
+    subs = enumerate_subgroups(G)
+    H = data.draw(st.sampled_from(subs), label="domain")
+    m = H.order * data.draw(st.sampled_from([1, 2, 3]), label="multiple")
+    vec = data.draw(st.lists(st.integers(0, m - 1), min_size=H.order, max_size=H.order))
+    delta = coboundary_from(ExpFunction(H, m, vec))
+    cls = data.draw(st.sampled_from(all_classes(H)), label="class")
+    sig = ExpCocycle(H, m, lift(cls, m).mat + delta.mat)
+    assert is_cocycle(sig)
+    K = data.draw(st.sampled_from([K for K in subs if K <= H]), label="restricted to")
+    derived = [delta, sig.scaled(data.draw(st.integers(0, 7), label="k")),
+               normalize(sig)[0], restrict(sig, K),
+               conjugate_class(sig, data.draw(st.integers(0, G.order - 1), label="xi"))]
+    for out in derived:
+        assert out._valid is True
+        assert cocycles._satisfies_identity(out)
+
+
+def test_an_unchecked_or_invalid_source_marks_nothing(sign_cocycle):
+    """A restriction or multiple of a table that is no cocycle may be one,
+    so it is checked on its own."""
+    H = sign_cocycle.domain
+    bad = ExpCocycle(H, 2, np.eye(4, dtype=np.int64))
+    fresh = ExpCocycle(H, 2, sign_cocycle.mat)
+    assert restrict(fresh, H)._valid is None and fresh.scaled(2)._valid is None
+    assert not is_cocycle(bad)
+    trivial = Subgroup(H.parent, (0,))
+    assert restrict(bad, trivial)._valid is None and is_cocycle(restrict(bad, trivial))
+    assert bad.scaled(2)._valid is None and is_cocycle(bad.scaled(2))
 
 
 def test_cocycle_tables_are_read_only(sign_cocycle):
@@ -669,9 +797,11 @@ def test_edge_width_admits_larger_moduli():
     full = G.full_subgroup()
     assert cocycles._frame(full).coboundary.shape == (14, 7)
     m_w = 600_000_000
-    rho = coboundary_from(ExpFunction(full, 8, [0, 3, 1, 5, 2, 7, 6, 4]))
-    f = classes_equivalent(rho, trivial_cocycle(full, 8), working_modulus=m_w)
+    # cocycle modulus m_w / exp(G), so the working modulus is m_w
+    m = m_w // G.exponent
+    rho = coboundary_from(ExpFunction(full, m, [0, 3, 1, 5, 2, 7, 6, 4]))
+    f = classes_equivalent(rho, trivial_cocycle(full, m))
     assert f is not None and f.modulus == m_w
     V4 = Subgroup(G, (0, 2, 4, 6))
-    assert classes_equivalent(klein_sign_cocycle(V4), trivial_cocycle(V4, 2),
-                              working_modulus=m_w) is None
+    m = m_w // V4.exponent
+    assert classes_equivalent(lift(klein_sign_cocycle(V4), m), trivial_cocycle(V4, m)) is None

@@ -155,3 +155,16 @@ def test_different_tables_are_refused(copies, sigma):
     with pytest.raises(DomainMismatch):
         classes_equivalent(trivial_cocycle(Subgroup(G1, (0, 4))),
                            trivial_cocycle(Subgroup(C8, (0, 4))))
+
+
+def test_build_tower_refuses_a_chain_on_another_table():
+    """A chain subgroup past the first on another table names the grading
+    group, as the decision entry points do, not the inclusion."""
+    G = parse_spec("C2xC4")
+    line = Subgroup(G, (0, 4))
+    B = TwistedGroupAlgebra(line)
+    with pytest.raises(AmbientMismatch):
+        build_tower(B, [line, Subgroup(parse_spec("C8"), (0, 2, 4, 6))])
+    with pytest.raises(AmbientMismatch):
+        build_tower(B, [Subgroup(parse_spec("C8"), (0, 4))])
+

@@ -18,7 +18,11 @@ order, every run in the order it ran, and per workload a summary: for each
 end-to-end metric of BENCHMARK.json, the parent's median and quartiles
 (statistics.quantiles, exclusive method), the change's median, min and
 max, and in how many pairs the change was better (ties count for neither),
-plus the number of failed jobs over all runs. Standard library only.
+plus the number of failed jobs over all runs. Next to the medians it gives
+the ratio change/parent within each pair: their median and how many pairs
+read below 1 and above 1 (pairs whose parent reads 0 have no ratio). Two
+runs of one pair run back to back, so their ratio cancels a shift of the
+host's speed between pairs, which the medians do not. Standard library only.
 """
 import argparse
 import io
@@ -101,6 +105,7 @@ def summarize(runs, metrics):
             sign = 1 if better == "lower" else -1
             wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
             q1, q3 = _quartiles(parent)
+            ratios = [c / p for p, c in zip(parent, change) if p]
             summary[name] = {
                 "parent_median": _round(statistics.median(parent)),
                 "parent_q1": _round(q1),
@@ -109,6 +114,9 @@ def summarize(runs, metrics):
                 "change_min": _round(min(change)),
                 "change_max": _round(max(change)),
                 "change_better_in": f"{wins}/{len(pairs)}",
+                "ratio_median": _round(statistics.median(ratios)) if ratios else None,
+                "ratios_below_1": sum(r < 1 for r in ratios),
+                "ratios_above_1": sum(r > 1 for r in ratios),
             }
         summary["failed"] = sum(result["failed"] for sides in pairs
                                 for result in sides.values())
