@@ -75,4 +75,3 @@ def test_pair_ratios_cancel_a_shift_between_pairs():
     assert (wall["ratios_below_1"], wall["ratios_above_1"]) == (0, 6)
     assert bench_pairs.summarize(runs[-2:], [("wall_s", "lower")])["extend"]["wall_s"][
         "ratio_median"] is None
-

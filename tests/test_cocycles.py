@@ -159,18 +159,6 @@ def test_equivalence_negative(klein, sign_cocycle):
         classes_equivalent(sign_cocycle, trivial_cocycle(Subgroup(klein, (0, 1))))
 
 
-def test_equivalence_needs_the_full_working_modulus():
-    """The coboundary of f = (1, i, 1, i) on C2 x C2, at modulus 2, is
-    equivalent to the zero cocycle only through a function valued in mu_4:
-    the working modulus 2 * exp(C2 x C2) = 4 finds it."""
-    full = catalog_group("C2xC2").full_subgroup()
-    sig = ExpCocycle(full, 2, [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 0, 0], [0, 1, 0, 1]])
-    assert is_cocycle(sig)
-    f = classes_equivalent(sig, trivial_cocycle(full, 2))
-    assert f is not None and f.modulus == 4
-    assert np.array_equal(coboundary_from(f).mat, lift(sig, 4).mat)
-
-
 def test_normalize(klein, sign_cocycle):
     H = klein.full_subgroup()
     shifted = ExpCocycle(H, 2, (sign_cocycle.mat + 1) % 2)

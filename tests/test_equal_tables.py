@@ -167,4 +167,3 @@ def test_build_tower_refuses_a_chain_on_another_table():
         build_tower(B, [line, Subgroup(parse_spec("C8"), (0, 2, 4, 6))])
     with pytest.raises(AmbientMismatch):
         build_tower(B, [Subgroup(parse_spec("C8"), (0, 4))])
-
