@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Deterministic JSON on stdout (sorted keys, stable list order), diagnostics
-on stderr.  Exit codes: 0 yes/success, 3 no-verdict, 2 bad input or unmet
+on stderr.  Exit codes: 0 yes/success, 3 no-verdict, 4 undecided (`pi
+contain` with skipped work and no separation), 2 bad input or unmet
 hypothesis, 1 internal error.
 """
 
@@ -199,7 +200,10 @@ def _cmd_pi(args, cfg, ws):
     B = _load_algebra(args.b, ws, cfg)
     rep = multilinear_containment(A, B, args.nmax, cfg)
     _emit(jsonio.containment_to_json(rep))
-    return 0 if rep.contained else 3
+    if rep.contained:
+        return 0
+    # a separated assignment decides "no"; skipped work alone decides nothing
+    return 3 if not all(v.contained for v in rep.verdicts) else 4
 
 
 def _cmd_tower(args, cfg, ws):

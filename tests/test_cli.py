@@ -575,11 +575,23 @@ def test_pi_contain_budget_skips_everything_multilinear(capsys, files):
     code, obj, _ = run_json(capsys, "--budget", "1", "pi", "contain",
                             "--a", files["plain"], "--b", files["signed"],
                             "--nmax", "2")
-    # every degree-2 assignment was skipped: the report is undecided, not contained
-    assert code == 3
+    # every degree-2 assignment was skipped: the report is undecided, not
+    # contained, and exits 4, apart from a separation's 3
+    assert code == 4
     assert obj["contained"] is False
     assert all(v["contained"] for v in obj["assignments"])
     assert len(obj["skipped"]) == 16
+
+
+def test_pi_contain_separation_with_skipped_work_exits_3(capsys, files):
+    """A separation decides "no" even when other work was skipped: at budget
+    2 the degree-3 assignments are skipped, and degree 2 separates."""
+    code, obj, _ = run_json(capsys, "--budget", "2", "pi", "contain",
+                            "--a", files["plain"], "--b", files["signed"],
+                            "--nmax", "3")
+    assert code == 3
+    assert len(obj["skipped"]) == 64
+    assert sum(not v["contained"] for v in obj["assignments"]) == 6
 
 
 # -- towers ---------------------------------------------------------------------------
@@ -639,7 +651,7 @@ def test_config_file_flag(capsys, files, tmp_path):
     code, obj, _ = run_json(capsys, "--config", str(cfg), "pi", "contain",
                             "--a", files["plain"], "--b", files["signed"],
                             "--nmax", "2")
-    assert code == 3
+    assert code == 4
     assert obj["skipped"]
 
 
