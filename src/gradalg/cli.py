@@ -203,7 +203,7 @@ def _cmd_pi(args, cfg, ws):
     if rep.contained:
         return 0
     # a separated assignment decides "no"; skipped work alone decides nothing
-    return 3 if not all(v.contained for v in rep.verdicts) else 4
+    return 4 if all(v.contained for v in rep.verdicts) else 3
 
 
 def _cmd_tower(args, cfg, ws):
