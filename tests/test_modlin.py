@@ -378,6 +378,33 @@ def test_snf_divisibility():
         assert b % a == 0
 
 
+@pytest.mark.parametrize("A, n, expect", [
+    ([[2, 0], [0, 3]], 6, (1, 6)),
+    ([[3, 0], [0, 2]], 6, (1, 6)),
+    ([[2, 0], [0, 3]], 12, (1, 6)),
+    ([[2, 0], [0, 3]], 210, (1, 6)),
+    ([[4, 0], [0, 9]], 36, (1, 36)),
+    ([[6, 0], [0, 10]], 30, (2, 30)),
+    ([[2, 0, 0], [0, 3, 0], [0, 0, 5]], 30, (1, 1, 30)),
+    ([[9, 0], [0, 8]], 8 * 3 ** 5, (1, 72)),
+])
+def test_snf_fixup_of_coprime_diagonal(A, n, expect):
+    """A diagonal pivot that does not divide a later one is mended by adding
+    the later row to the pivot row and clearing again: on these inputs
+    snf_mod runs that row addition, an xgcd column combination and both
+    re-loops of its pivot step."""
+    res = snf_mod(A, n, want_u=True, want_v=True)
+    assert res.diag == expect
+    A = np.array(A, dtype=np.int64)
+    r, c = A.shape
+    D = np.zeros((r, c), dtype=np.int64)
+    D[range(min(r, c)), range(min(r, c))] = res.diag[:min(r, c)]
+    assert np.array_equal((res.U @ A @ res.V) % n, D % n)
+    assert np.array_equal((res.V @ res.Vinv) % n, np.eye(c, dtype=np.int64))
+    S = smith_normal_form(Matrix(A.tolist()), domain=ZZ)
+    assert res.diag == tuple(gcd(abs(int(S[i, i])), n) for i in range(min(r, c)))
+
+
 @given(st.data(), moduli)
 @settings(max_examples=80)
 def test_solver_finds_planted_solution(data, n):
