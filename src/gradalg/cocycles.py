@@ -47,7 +47,7 @@ from .errors import (
     VerificationFailed,
 )
 from .groups import FiniteGroup, Subgroup, conjugate_subgroup
-from .modlin import ModularSolver, RowReducer, howell_reduce, kernel_mod, snf_mod
+from .modlin import ModularSolver, howell_reduce, kernel_mod, snf_mod
 
 
 class ExpCocycle:
@@ -581,8 +581,8 @@ def _h2(K: Subgroup):
         # relations, so they need no second reduction
         rel = kernel_mod(sysmat, N)[:, :k]
         rel = rel[rel.any(axis=1)]
-        snf = snf_mod(rel, N, want_v=True)
-        eb = howell_reduce((rel @ GE) % N, N) if rel.shape[0] else RowReducer(N, GE.shape[1])
+        snf = snf_mod(rel, N)
+        eb = howell_reduce((rel @ GE) % N, N)
         factors = []
         reps = []
         for j, d in enumerate(snf.diag):

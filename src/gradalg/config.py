@@ -44,6 +44,6 @@ def load_config(path: str | None = None) -> EngineConfig:
     if bad:
         raise ParseError(f"config file {path}: unknown keys {bad}")
     for key, val in raw.items():
-        if val is not None and (not isinstance(val, int) or isinstance(val, bool)):
+        if not isinstance(val, int) or isinstance(val, bool):
             raise ParseError(f"config file {path}: {key} must be an integer")
     return EngineConfig(**raw)

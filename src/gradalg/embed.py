@@ -189,7 +189,7 @@ def _tga_witness(B1, B2, f, field=None):
         S, T, targets, 2 * f.exponents(field)))
 
 
-def twisted_embed(B1, B2, field=None):
+def twisted_embed(B1, B2):
     """Decide F^s1[H1] -> F^s2[H2] as graded algebras over one ambient group.
 
     Yes exactly when H1 <= H2 and the class of s1 equals the class of s2
@@ -201,10 +201,10 @@ def twisted_embed(B1, B2, field=None):
     f = classes_equivalent(B1.sigma, restrict(B2.sigma, B1.subgroup))
     if f is None:
         return DecisionReport(False, reasons=("class mismatch",))
-    return _verified(_tga_witness(B1, B2, f, field), verify_graded_monomorphism)
+    return _verified(_tga_witness(B1, B2, f), verify_graded_monomorphism)
 
 
-def twisted_iso(B1, B2, field=None):
+def twisted_iso(B1, B2):
     """Graded isomorphism of twisted group algebras: same support subgroup
     and equivalent cocycle classes."""
     one_ambient(B1, B2)
@@ -213,7 +213,7 @@ def twisted_iso(B1, B2, field=None):
     f = classes_equivalent(B1.sigma, B2.sigma)
     if f is None:
         return DecisionReport(False, reasons=("class mismatch",))
-    return _verified(_tga_witness(B1, B2, f, field), verify_graded_isomorphism)
+    return _verified(_tga_witness(B1, B2, f), verify_graded_isomorphism)
 
 
 # -- graded matrix algebra decisions ----------------------------------------
@@ -296,10 +296,10 @@ def matrix_embed(A1, A2, field=None):
     return _matrix_decide(A1, A2, field, want_iso=False)
 
 
-def matrix_iso(A1, A2, field=None):
+def matrix_iso(A1, A2):
     """Graded isomorphism of graded matrix algebras: equal size, equal
     support subgroup, full slot matching, conjugated class equality."""
-    return _matrix_decide(A1, A2, field, want_iso=True)
+    return _matrix_decide(A1, A2, None, want_iso=True)
 
 
 # -- semisimple products -----------------------------------------------------

@@ -315,7 +315,7 @@ def kernel_mod(A, n_mod):
 
 @dataclass
 class SnfResult:
-    """Diagonalization D = U A V over Z/N.
+    """Diagonalization D = U A V over Z/N, with V Vinv = I.
 
     diag has one entry per column of A: the gcd-normalized diagonal entry,
     padded with N past the rank. Together with the implicit relations N*e_j
@@ -323,74 +323,29 @@ class SnfResult:
     ascending divisibility order.
     """
     diag: tuple
-    U: np.ndarray | None = None
-    V: np.ndarray | None = None
-    Vinv: np.ndarray | None = None
+    U: np.ndarray
+    V: np.ndarray
+    Vinv: np.ndarray
 
 
-def snf_mod(A, n_mod, want_u=False, want_v=False):
+def snf_mod(A, n_mod):
+    """Diagonalize the r x c matrix A over Z/n_mod, building U, V and Vinv.
+
+    One (r+c) x (c+r) array W holds A at W[:r, :c], U at W[:r, c:] and V at
+    W[r:, :c], both from the identity. Row operations act on the rows of
+    [A | U], which is W[:r]; column operations act on the columns of [A ; V],
+    which is W[:, :c], and their inverses on the rows of Vinv.
+    """
     N = int(n_mod)
     A = np.atleast_2d(np.asarray(A, dtype=np.int64))
     r, c = A.shape
     _check_int64(N, max(r, c))
-    A = A % N
-    U = np.eye(r, dtype=np.int64) if want_u else None
-    V = np.eye(c, dtype=np.int64) if want_v else None
-    Vinv = np.eye(c, dtype=np.int64) if want_v else None
-
-    def row_swap(i, j):
-        A[[i, j]] = A[[j, i]]
-        if U is not None:
-            U[[i, j]] = U[[j, i]]
-
-    def row_scale(i, u):
-        A[i] = (A[i] * u) % N
-        if U is not None:
-            U[i] = (U[i] * u) % N
-
-    def rows_sub(idx, q, t):
-        A[idx] = (A[idx] - q[:, None] * A[t]) % N
-        if U is not None:
-            U[idx] = (U[idx] - q[:, None] * U[t]) % N
-
-    def row_add(t, i):
-        A[t] = (A[t] + A[i]) % N
-        if U is not None:
-            U[t] = (U[t] + U[i]) % N
-
-    def rows_combine(t, i, s, tt, p, ai, g):
-        rt, ri = A[t].copy(), A[i].copy()
-        A[t] = (s * rt + tt * ri) % N
-        A[i] = ((p // g) * ri - (ai // g) * rt) % N
-        if U is not None:
-            ut, ui = U[t].copy(), U[i].copy()
-            U[t] = (s * ut + tt * ui) % N
-            U[i] = ((p // g) * ui - (ai // g) * ut) % N
-
-    def col_swap(i, j):
-        A[:, [i, j]] = A[:, [j, i]]
-        if V is not None:
-            V[:, [i, j]] = V[:, [j, i]]
-            Vinv[[i, j]] = Vinv[[j, i]]
-
-    def cols_sub(idx, q, t):
-        A[:, idx] = (A[:, idx] - A[:, t][:, None] * q[None, :]) % N
-        if V is not None:
-            V[:, idx] = (V[:, idx] - V[:, t][:, None] * q[None, :]) % N
-            Vinv[t] = (Vinv[t] + q @ Vinv[idx]) % N
-
-    def cols_combine(t, j, s, tt, p, aj, g):
-        ct, cj = A[:, t].copy(), A[:, j].copy()
-        A[:, t] = (s * ct + tt * cj) % N
-        A[:, j] = ((p // g) * cj - (aj // g) * ct) % N
-        if V is not None:
-            vt, vj = V[:, t].copy(), V[:, j].copy()
-            V[:, t] = (s * vt + tt * vj) % N
-            V[:, j] = ((p // g) * vj - (aj // g) * vt) % N
-            rt, rj = Vinv[t].copy(), Vinv[j].copy()
-            Vinv[t] = ((p // g) * rt + (aj // g) * rj) % N
-            Vinv[j] = (s * rj - tt * rt) % N
-
+    W = np.zeros((r + c, c + r), dtype=np.int64)
+    W[:r, :c] = A % N
+    W[:r, c:] = np.eye(r, dtype=np.int64)
+    W[r:, :c] = np.eye(c, dtype=np.int64)
+    Vinv = np.eye(c, dtype=np.int64)
+    A = W[:r, :c]
     t = 0
     mdim = min(r, c)
     while t < mdim:
@@ -400,51 +355,59 @@ def snf_mod(A, n_mod, want_u=False, want_v=False):
         gs = np.gcd(sub, N)
         i, j = np.unravel_index(int(np.argmin(gs + (sub == 0) * N)), gs.shape)
         if i:
-            row_swap(t, t + i)
+            W[[t, t + i]] = W[[t + i, t]]
         if j:
-            col_swap(t, t + j)
+            W[:, [t, t + j]] = W[:, [t + j, t]]
+            Vinv[[t, t + j]] = Vinv[[t + j, t]]
         while True:
             u = unit_lift(int(A[t, t]), N)
             if u != 1:
-                row_scale(t, u)
+                W[t] = (W[t] * u) % N
             g = int(A[t, t])
             bad = np.nonzero(A[t + 1:, t] % g)[0]
             while bad.size:
                 i = t + 1 + int(bad[0])
                 ai = int(A[i, t])
                 g2, s, tt = xgcd(g, ai)
-                rows_combine(t, i, s, tt, g, ai, g2)
+                rt, ri = W[t], W[i]
+                W[t], W[i] = (s * rt + tt * ri) % N, ((g // g2) * ri - (ai // g2) * rt) % N
                 g = g2
                 bad = np.nonzero(A[t + 1:, t] % g)[0]
             q = A[t + 1:, t] // g
             idx = np.nonzero(q)[0]
             if idx.size:
-                rows_sub(t + 1 + idx, q[idx], t)
+                q, idx = q[idx], t + 1 + idx
+                W[idx] = (W[idx] - q[:, None] * W[t]) % N
             bad = np.nonzero(A[t, t + 1:] % g)[0]
             while bad.size:
                 j = t + 1 + int(bad[0])
                 aj = int(A[t, j])
                 g2, s, tt = xgcd(g, aj)
-                cols_combine(t, j, s, tt, g, aj, g2)
+                ct, cj = W[:, t], W[:, j]
+                W[:, t], W[:, j] = (s * ct + tt * cj) % N, ((g // g2) * cj - (aj // g2) * ct) % N
+                rt, rj = Vinv[t], Vinv[j]
+                Vinv[t], Vinv[j] = ((g // g2) * rt + (aj // g2) * rj) % N, (s * rj - tt * rt) % N
                 g = g2
                 bad = np.nonzero(A[t, t + 1:] % g)[0]
             q = A[t, t + 1:] // g
             jdx = np.nonzero(q)[0]
             if jdx.size:
-                cols_sub(t + 1 + jdx, q[jdx], t)
+                q, jdx = q[jdx], t + 1 + jdx
+                W[:, jdx] = (W[:, jdx] - W[:, t][:, None] * q[None, :]) % N
+                Vinv[t] = (Vinv[t] + q @ Vinv[jdx]) % N
             if A[t + 1:, t].any():
                 continue
             blk = A[t + 1:, t + 1:]
             if blk.size:
                 off = np.argwhere(np.gcd(blk, N) % g)
                 if off.size:
-                    row_add(t, t + 1 + int(off[0][0]))
+                    W[t] = (W[t] + W[t + 1 + int(off[0][0])]) % N
                     continue
             break
         t += 1
 
     diag = tuple(gcd(int(A[i, i]), N) if i < mdim else N for i in range(c))
-    return SnfResult(diag=diag, U=U, V=V, Vinv=Vinv)
+    return SnfResult(diag, W[:r, c:].copy(), W[r:, :c].copy(), Vinv)
 
 
 class ModularSolver:
@@ -465,7 +428,7 @@ class ModularSolver:
         m, n = A.shape
         _check_int64(N, n + m)
         r = min(m, n)
-        snf = snf_mod(A, N, want_u=True, want_v=True)
+        snf = snf_mod(A, N)
         self.N = N
         self.U = snf.U
         self.V = snf.V[:, :r]

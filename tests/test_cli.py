@@ -682,6 +682,23 @@ def test_config_unknown_keys_exit_2(capsys, tmp_path):
     assert "unknown keys" in err
 
 
+@pytest.mark.parametrize("key, argv", [
+    ("degree_cap", ("pi", "contain", "--nmax", "2")),
+    ("work_budget", ("pi", "contain", "--nmax", "2")),
+    ("order_cap", ("h2", "--group", "C2xC2")),
+])
+def test_config_null_exits_2(capsys, files, tmp_path, key, argv):
+    """null is not an integer: it neither crashes a cap comparison nor lifts
+    the cap."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: None}), encoding="utf-8")
+    if argv[0] == "pi":
+        argv += ("--a", files["plain"], "--b", files["signed"])
+    code, out, err = run(capsys, "--config", str(cfg), *argv)
+    assert (code, out) == (2, "")
+    assert f"{key} must be an integer" in err
+
+
 # -- sweep ------------------------------------------------------------------------------
 
 

@@ -9,6 +9,7 @@ few loops each frame keeps.
 """
 import functools
 import itertools
+from dataclasses import replace
 from math import gcd, lcm
 
 import numpy as np
@@ -55,7 +56,6 @@ from gradalg.modlin import (
     _BLOCK_ROWS,
     ModularSolver,
     RowReducer,
-    SnfResult,
     howell_reduce,
     kernel_mod,
     snf_mod,
@@ -231,6 +231,14 @@ def test_conjugate_class_reuses_the_conjugate_subgroup(s3):
                 loop[K.position(s3.conj(a, xi)), K.position(s3.conj(b, xi))] = sig.mat[i, j]
         assert np.array_equal(first.mat, loop)
     assert len({conjugate_class(sig, xi).domain.members for xi in range(s3.order)}) == 1
+
+
+def test_conjugate_class_refuses_a_non_cocycle(s3):
+    """A table that fails the cocycle identity is not moved to a conjugate
+    subgroup."""
+    H = Subgroup(s3, (0, s3.element_by_label("(12)")))
+    with pytest.raises(NotACocycle):
+        conjugate_class(ExpCocycle(H, 2, np.eye(2, dtype=np.int64)), s3.element_by_label("(13)"))
 
 
 def _identity_by_loops(sig):
@@ -450,7 +458,7 @@ def test_h2_representatives_have_right_orders(klein):
 def test_h2_checks_its_own_factors_and_representatives(monkeypatch):
     # an invariant factor that does not divide |G|
     monkeypatch.setattr(cocycles, "snf_mod",
-                        lambda A, N, want_v=False: SnfResult(diag=(N,) * A.shape[1]))
+                        lambda A, N: replace(snf_mod(A, N), diag=(N,) * A.shape[1]))
     with pytest.raises(VerificationFailed, match="does not divide"):
         h2_over_Fstar(product(cyclic(2), cyclic(2)))
     monkeypatch.undo()
@@ -473,9 +481,9 @@ def test_h2_relations_are_a_reduced_howell_basis(monkeypatch):
     basis of the projection."""
     seen = []
 
-    def spy(A, N, **kwargs):
+    def spy(A, N):
         seen.append((A, N))
-        return snf_mod(A, N, **kwargs)
+        return snf_mod(A, N)
 
     monkeypatch.setattr(cocycles, "snf_mod", spy)
     assert len(HOWELL_SPECS) == 33

@@ -162,6 +162,32 @@ def test_verify_rejects_degree_violation(klein):
     assert not verify_graded_monomorphism(gmap, plain, plain)
 
 
+def test_verify_rejects_a_map_checked_against_other_algebras(klein, sign_cocycle):
+    """A map is checked only against its own source and target: the identity
+    of F[V4] is no witness for F^sign[V4] into itself."""
+    full = klein.full_subgroup()
+    plain = TwistedGroupAlgebra(full)
+    signed = TwistedGroupAlgebra(full, lift(sign_cocycle, 4))
+    ident = _monomial(plain, plain, {x: (plain.field.one(), x) for x in plain.basis_keys()})
+    assert verify_graded_monomorphism(ident, plain, plain)
+    assert not verify_graded_monomorphism(ident, signed, signed)
+    assert not verify_graded_monomorphism(ident, plain, signed)
+
+
+def test_verify_rejects_source_and_target_over_different_fields(klein):
+    """The inclusion of F[V4] over Q(zeta_4) into F[V4] over Q(zeta_8) sends
+    each basis element to itself, but a witness must have source and target
+    over one field."""
+    full = klein.full_subgroup()
+    small = TwistedGroupAlgebra(full, field=cyclo_field(4))
+    big = small.with_field(cyclo_field(8))
+    assert small.field.modulus != big.field.modulus
+    incl = _monomial(small, big, {x: (big.field.one(), x) for x in small.basis_keys()})
+    assert not verify_graded_monomorphism(incl, small, big)
+    same = _monomial(big, big, {x: (big.field.one(), x) for x in big.basis_keys()})
+    assert verify_graded_monomorphism(same, big, big)
+
+
 # -- matrix embeddings ----------------------------------------------------------
 
 

@@ -349,7 +349,7 @@ def test_kernel_mod_exact_small():
 @settings(max_examples=60)
 def test_snf_transforms_witness(data, n):
     A = small_matrix(data.draw, n)
-    res = snf_mod(A, n, want_u=True, want_v=True)
+    res = snf_mod(A, n)
     D = (res.U @ A @ res.V) % n
     for i in range(A.shape[0]):
         for j in range(A.shape[1]):
@@ -393,7 +393,7 @@ def test_snf_fixup_of_coprime_diagonal(A, n, expect):
     the later row to the pivot row and clearing again: on these inputs
     snf_mod runs that row addition, an xgcd column combination and both
     re-loops of its pivot step."""
-    res = snf_mod(A, n, want_u=True, want_v=True)
+    res = snf_mod(A, n)
     assert res.diag == expect
     A = np.array(A, dtype=np.int64)
     r, c = A.shape
